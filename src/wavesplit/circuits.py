@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -95,6 +96,12 @@ class Circuit:
                 raise ValueError(f"{op.kind} takes no control qubit")
             if op.kind in _NEEDS_ANGLE and (op.angle is None or not math.isfinite(op.angle)):
                 raise ValueError(f"{op.kind} needs a finite angle")
+
+    @cached_property
+    def gates(self) -> tuple[Gate2x2, ...]:
+        """One gate matrix per op, built on first use: plans that are only
+        counted, never applied, do not pay for them."""
+        return tuple(_op_gate(op) for op in self.ops)
 
 
 @dataclass(frozen=True)
@@ -252,15 +259,26 @@ def _op_gate(op: GateOp) -> Gate2x2:
     return Gate2x2.x()
 
 
-def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
+def apply_circuit(state: StateVector, circuit: Circuit,
+                  out: np.ndarray | None = None) -> StateVector:
+    """Apply every op in order; ``out`` is as in ``apply_1q``.
+
+    The first op writes ``out``, or a fresh array when it is None, and
+    the later ops update that array in place, so the input is copied at
+    most once.  The gates share one scratch array for the call, sized
+    for the largest need: 2**(n+1) amplitudes for an uncontrolled RY,
+    2**n otherwise.  An empty circuit returns ``state`` itself.
+    """
     if state.n_qubits != circuit.n_qubits:
         raise ValueError("state and circuit disagree on qubit count")
-    for op in circuit.ops:
-        gate = _op_gate(op)
+    wide = any(op.kind == "RY" for op in circuit.ops)
+    work = np.empty(2 ** (state.n_qubits + wide), dtype=complex)
+    for op, gate in zip(circuit.ops, circuit.gates):
         if op.control is None:
-            state = apply_1q(state, gate, op.target)
+            state = apply_1q(state, gate, op.target, out, work=work)
         else:
-            state = apply_controlled(state, gate, op.control, op.target)
+            state = apply_controlled(state, gate, op.control, op.target, out, work=work)
+        out = state.amp
     return state
 
 

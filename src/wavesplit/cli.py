@@ -20,6 +20,14 @@ from .reference import exact_solution, spectral_pairs
 from .schemes import builtin_schemes, get_scheme, validate_scheme
 
 
+def _steps_list(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
 def _add_problem_args(p: argparse.ArgumentParser, n_default: int,
                       t_default: float) -> None:
     p.add_argument("--scheme", required=True,
@@ -53,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="error against step count")
     _add_problem_args(p, n_default=5, t_default=harness.DEFAULT_SWEEP_T_FINAL)
-    p.add_argument("--steps-list", default=None,
+    p.add_argument("--steps-list", type=_steps_list, default=None,
                    help="comma-separated ascending step counts")
 
     p = sub.add_parser("gates", help="CNOT and qubit budget of one step")
@@ -105,10 +113,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     sys = ModeSystem(n=args.n, d=args.d, gamma=args.gamma_ratio)
     phi, dphi = harness.gaussian_profile(sys, args.width, args.center)
-    if args.steps_list:
-        T_list = [int(x) for x in args.steps_list.split(",")]
-    else:
-        T_list = list(harness.DEFAULT_SWEEP_STEPS[args.scheme])
+    T_list = args.steps_list or list(harness.DEFAULT_SWEEP_STEPS[args.scheme])
     table = harness.convergence_sweep(get_scheme(args.scheme), sys,
                                       args.t_final, T_list, phi, dphi)
     for r in table.rows:

@@ -151,15 +151,17 @@ def simulate(plan: SplitStepPlan, T: int, initial: StateVector) -> RunReport:
         raise ValueError("ancilla must start in |0>")
 
     t0 = time.perf_counter()
-    state = initial
+    # a copy this call owns, so every stage can work in place
+    state = StateVector(initial.n_qubits, np.array(initial.amp, dtype=complex).reshape(-1),
+                        initial.magnitude)
     success = 1.0
     for _ in range(T):
         for stage in plan.stages:
             if isinstance(stage, PostselectStage):
-                p, state = postselect(state, anc, 0)
+                p, state = postselect(state, anc, 0, out=state.amp)
                 success *= p
             else:
-                state = apply_circuit(state, stage.circuit)
+                state = apply_circuit(state, stage.circuit, out=state.amp)
     wall = time.perf_counter() - t0
     per_step = plan.cnot_per_step
     return RunReport(

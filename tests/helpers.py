@@ -31,23 +31,30 @@ def _gate_2x2(kind: str, angle) -> np.ndarray:
 
 
 def gateop_matrix(op, n_qubits: int) -> np.ndarray:
-    """Full 2^n matrix for one GateOp, built by enumerating basis states.
+    """Full 2^n matrix for one GateOp; see ``embed_2x2``.
+
+    Gate matrices are restated here from the standard definitions.
+    """
+    return embed_2x2(_gate_2x2(op.kind, op.angle), n_qubits, op.target, op.control)
+
+
+def embed_2x2(gate, n_qubits: int, target: int, control=None) -> np.ndarray:
+    """Full 2^n matrix of a 2x2 ``gate`` on ``target``, active where
+    ``control`` is 1, built by enumerating basis states.
 
     Deliberately a different algorithm from the library's kron-chain
-    embedding: walk every input basis index, flip or weight the target
-    bit by hand, and scatter the 2x2 entries.  Gate matrices are also
-    restated here from the standard definitions.
+    embedding and strided kernel: walk every input basis index, flip or
+    weight the target bit by hand, and scatter the 2x2 entries.
     """
     size = 2 ** n_qubits
     mat = np.zeros((size, size), dtype=complex)
-    gate = _gate_2x2(op.kind, op.angle)
     for col in range(size):
-        if op.control is not None and not (col >> op.control) & 1:
+        if control is not None and not (col >> control) & 1:
             mat[col, col] = 1.0
             continue
-        tbit = (col >> op.target) & 1
+        tbit = (col >> target) & 1
         for row_bit in (0, 1):
-            row = col & ~(1 << op.target) | (row_bit << op.target)
+            row = col & ~(1 << target) | (row_bit << target)
             mat[row, col] += gate[row_bit, tbit]
     return mat
 

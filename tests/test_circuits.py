@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from wavesplit import statevector
 from wavesplit.circuits import (
     Circuit,
     GateOp,
@@ -179,6 +180,38 @@ def test_apply_circuit_matches_matrix_path():
     evolved = apply_circuit(state, circ)
     expected = circuit_to_matrix(circ) @ state.amp.reshape(-1)
     assert np.max(np.abs(evolved.amp.reshape(-1) - expected)) < 1e-13
+
+
+def test_gate_matrices_built_once_on_first_application():
+    circ = wave_evolution_circuit(ModeSystem(n=2, gamma=0.3), 0.4)
+    assert "gates" not in vars(circ)
+    state = StateVector.basis(circ.n_qubits, index=3)
+    apply_circuit(state, circ)
+    gates = vars(circ)["gates"]
+    assert len(gates) == len(circ.ops)
+    apply_circuit(state, circ)
+    assert circ.gates is gates
+
+
+@pytest.mark.parametrize("make", [lambda: qft_circuit(3),
+                                  lambda: wave_evolution_circuit(ModeSystem(n=2, gamma=0.3), 0.4)])
+def test_apply_circuit_gates_share_one_scratch(monkeypatch, make):
+    # an uncontrolled RY needs twice the scratch of a controlled gate; the
+    # kernel rejects a short one, so a circuit must size it for its gates
+    seen = []
+    inner = statevector._scratch
+
+    def spy(state, dst, work, size):
+        seen.append(work)
+        return inner(state, dst, work, size)
+    monkeypatch.setattr(statevector, "_scratch", spy)
+    circ = make()
+    amp = rng.standard_normal(2 ** circ.n_qubits) + 1j * rng.standard_normal(2 ** circ.n_qubits)
+    state = StateVector.from_amplitudes(amp)
+    evolved = apply_circuit(state, circ)
+    expected = circuit_to_matrix(circ) @ state.amp
+    assert np.max(np.abs(evolved.amp - expected)) < 1e-13
+    assert seen and seen[0] is not None and all(w is seen[0] for w in seen)
 
 
 def test_circuit_to_matrix_size_cap():

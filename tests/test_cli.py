@@ -85,6 +85,14 @@ def test_range_checks_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_steps_list_exit_codes(capsys):
+    base = ["sweep", "--scheme", "strang", "--n", "3"]
+    assert run(base + ["--steps-list", "4,x,8"]) == 2  # not integers: usage
+    assert "comma-separated integers" in capsys.readouterr().err
+    assert run(base + ["--steps-list", "8,6,4"]) == 1  # not ascending: domain
+    assert "error:" in capsys.readouterr().err
+
+
 def test_runtime_error_exit_code(capsys):
     # negative damping ratio fails domain validation, not argument parsing
     assert run(["simulate", "--scheme", "lie", "--n", "3",

@@ -24,9 +24,11 @@ from wavesplit.harness import (
     run_case,
     scrub_timing,
     selftest,
+    state_error,
 )
 from wavesplit.reference import exact_solution, spectral_pairs
 from wavesplit.schemes import get_scheme
+from wavesplit.statevector import StateVector, fidelity_error
 
 rng = np.random.default_rng(41)
 
@@ -78,6 +80,14 @@ def test_run_case_fields():
     assert report.epsilon is not None and report.epsilon > 0
     assert report.cnot_total == 8 * formula_cnots(get_scheme("strang"), 4, 1)
     assert abs(report.success_prob - report.state.magnitude ** 2) < 1e-10
+
+
+def test_state_error_matches_padded_reference():
+    state = StateVector.from_amplitudes(rng.standard_normal(32) + 1j * rng.standard_normal(32))
+    exact = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    exact /= np.linalg.norm(exact)
+    padded = np.concatenate([exact, np.zeros(16)])
+    assert abs(state_error(state, exact) - fidelity_error(state, padded)) < 1e-15
 
 
 def test_reference_run_error_regression():

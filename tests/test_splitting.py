@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from wavesplit import circuits, splitting
 from wavesplit.circuits import ModeSystem
 from wavesplit.reference import dense_expm, encode_initial, spectral_pairs
 from wavesplit.schemes import builtin_schemes, get_scheme
@@ -172,6 +173,36 @@ def test_report_accounting_fields():
     assert report.cnot_total == 5 * plan.cnot_per_step
     assert report.qubits == 5  # 3 data + selector + ancilla
     assert report.wall_time >= 0.0
+
+
+@pytest.mark.parametrize("n,d", [(3, 1), (2, 3)])
+def test_one_kernel_call_per_planned_gate(monkeypatch, n, d):
+    calls = {"apply_1q": 0, "apply_controlled": 0, "postselect": 0}
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(circuits, "apply_1q")
+    counting(circuits, "apply_controlled")
+    counting(splitting, "postselect")
+    sys_nd = ModeSystem(n=n, d=d, gamma=0.5)
+    phi, dphi = random_fields(2**n, d)
+    initial = encode_initial(phi, dphi)
+    before = initial.amp.copy()
+    plan = build_step(get_scheme("bernier6"), sys_nd, 0.05)
+    T = 2
+    simulate(plan, T, initial)
+
+    ops = [op for st in plan.stages if hasattr(st, "circuit") for op in st.circuit.ops]
+    assert calls["apply_1q"] == T * sum(op.control is None for op in ops)
+    assert calls["apply_controlled"] == T * sum(op.control is not None for op in ops)
+    assert calls["postselect"] == T * plan.stage_counts()["postselect"]
+    assert np.array_equal(initial.amp, before)
 
 
 # ----------------------------------------------------- generic dense splitting

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from wavesplit.circuits import GateOp
+from wavesplit.circuits import Circuit, GateOp, apply_circuit
 from wavesplit.statevector import (
     DegeneratePostselectionError,
     Gate2x2,
@@ -14,7 +14,7 @@ from wavesplit.statevector import (
     postselect,
 )
 
-from helpers import gateop_matrix
+from helpers import embed_2x2, gateop_matrix
 
 rng = np.random.default_rng(7)
 
@@ -91,6 +91,109 @@ def test_gate_application_preserves_input():
     apply_1q(s, Gate2x2.ry(0.3), 0)
     apply_controlled(s, Gate2x2.ry(0.3), 0, 1)
     assert np.array_equal(s.amp, before)
+
+
+def test_postselect_and_circuit_preserve_input():
+    s = random_state(3)
+    before = s.amp.copy()
+    postselect(s, 1, 0)
+    apply_circuit(s, Circuit(3, (GateOp("CRY", target=2, control=0, angle=0.3),
+                                 GateOp("X", target=1))))
+    assert np.array_equal(s.amp, before)
+
+
+def _kernel_cases():
+    angles = {"RY": 0.7, "RZ": -1.3, "P": 2.1, "X": None}
+    for n in (1, 2, 5):
+        for kind, angle in angles.items():
+            for target in range(n):
+                yield GateOp(kind, target=target, angle=angle), n
+    angles = {"CNOT": None, "CRY": 0.9, "CP": -0.4}
+    for n in (2, 5):
+        for kind, angle in angles.items():
+            for control in range(n):
+                for target in range(n):
+                    if control != target:
+                        yield GateOp(kind, target=target, control=control, angle=angle), n
+
+
+MAKERS = {"RY": Gate2x2.ry, "CRY": Gate2x2.ry, "RZ": Gate2x2.rz, "P": Gate2x2.p,
+          "CP": Gate2x2.p, "X": Gate2x2.x, "CNOT": Gate2x2.x}
+
+
+@pytest.mark.parametrize("op,n", list(_kernel_cases()))
+def test_kernel_fresh_and_in_place_match_dense_oracle(op, n):
+    s = random_state(n)
+    expected = gateop_matrix(op, n) @ s.amp
+    maker = MAKERS[op.kind]
+    gate = maker() if op.angle is None else maker(op.angle)
+    if op.control is None:
+        fresh = apply_1q(s, gate, op.target)
+        in_place = apply_1q(s, gate, op.target, out=s.amp,
+                            work=np.empty(2 ** (n + 1), dtype=complex))
+    else:
+        fresh = apply_controlled(s, gate, op.control, op.target)
+        in_place = apply_controlled(s, gate, op.control, op.target, out=s.amp,
+                                    work=np.empty(2 ** (n + 1), dtype=complex))
+    assert np.max(np.abs(fresh.amp - expected)) < 1e-14
+    assert in_place.amp is s.amp
+    assert np.max(np.abs(s.amp - expected)) < 1e-14
+
+
+@pytest.mark.parametrize("matrix", [
+    [[0.5j, 0], [0, -2.0]], [[0, 2j], [0.5, 0]], [[0, -3.0], [0.25, 0]],
+    [[1 + 1j, 2], [-0.5j, 3]], [[0.3, -1.2], [0.7, 2.5]],
+])
+def test_kernel_branches_with_asymmetric_entries(matrix):
+    gate = Gate2x2(np.array(matrix, dtype=complex))
+    for control, target in [(None, 0), (None, 2), (0, 2), (2, 1), (1, 0)]:
+        s = random_state(3)
+        expected = embed_2x2(gate.matrix, 3, target, control) @ s.amp
+        if control is None:
+            fresh = apply_1q(s, gate, target)
+            apply_1q(s, gate, target, out=s.amp)
+        else:
+            fresh = apply_controlled(s, gate, control, target)
+            apply_controlled(s, gate, control, target, out=s.amp)
+        assert np.max(np.abs(fresh.amp - expected)) < 1e-14
+        assert np.max(np.abs(s.amp - expected)) < 1e-14
+
+
+@pytest.mark.parametrize("qubit,outcome", [(0, 0), (2, 1), (4, 0), (4, 1)])
+def test_postselect_in_place_matches_fresh(qubit, outcome):
+    s = StateVector(5, random_state(5).amp, magnitude=0.5)
+    p, fresh = postselect(s, qubit, outcome)
+    p_in, in_place = postselect(s, qubit, outcome, out=s.amp)
+    assert p_in == p
+    assert in_place.amp is s.amp
+    assert np.array_equal(s.amp, fresh.amp)
+    assert in_place.magnitude == fresh.magnitude == 0.5 * np.sqrt(p)
+
+
+def test_out_and_work_must_fit_and_not_overlap():
+    s = random_state(3)
+    with pytest.raises(ValueError):
+        apply_1q(s, Gate2x2.x(), 0, work=np.empty(16))
+    with pytest.raises(ValueError):  # a general 2x2 on 3 qubits needs 16
+        apply_1q(s, Gate2x2.ry(0.3), 0, work=np.empty(8, dtype=complex))
+    work = np.empty(16, dtype=complex)
+    with pytest.raises(ValueError):
+        apply_1q(s, Gate2x2.x(), 0, out=work[:8], work=work)
+    with pytest.raises(ValueError):
+        apply_1q(s, Gate2x2.x(), 0, out=np.empty(4, dtype=complex))
+    with pytest.raises(ValueError):
+        apply_1q(s, Gate2x2.x(), 0, out=np.empty(8))
+    with pytest.raises(ValueError):
+        postselect(s, 0, 0, out=s.amp[::-1])
+    with pytest.raises(ValueError):
+        apply_controlled(s, Gate2x2.x(), 0, 1, out=s.amp[:])
+
+
+def test_degenerate_postselect_leaves_out_untouched():
+    s = StateVector.basis(2, index=0)
+    with pytest.raises(DegeneratePostselectionError):
+        postselect(s, qubit=0, outcome=1, out=s.amp)
+    assert s.amp[0] == 1.0
 
 
 def test_postselect_probability_and_renormalization():
