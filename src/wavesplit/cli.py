@@ -78,11 +78,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Largest statevector simulate/sweep will build: a run peaks near five
+# state-sized arrays of 16 * 2**qubits bytes, about 5 GiB at 26 qubits.
+MAX_QUBITS = 26
+
+
 def _check_ranges(args) -> str | None:
     if not 1 <= args.n <= 20:
         return "--n must be in 1..20"
     if not 1 <= args.d <= 3:
         return "--d must be in 1..3"
+    if args.n * args.d + 2 > MAX_QUBITS:
+        return (f"--n {args.n} --d {args.d} needs {args.n * args.d + 2} qubits; "
+                f"the statevector is capped at {MAX_QUBITS}")
     steps = getattr(args, "steps", None)
     if steps is not None and steps < 1:
         return "--steps must be at least 1"

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +74,25 @@ class SplitStepPlan:
     def cnot_per_step(self) -> int:
         return sum(cnot_count(st.circuit) for st in self.stages
                    if not isinstance(st, PostselectStage))
+
+    @cached_property
+    def _schedule(self) -> tuple:
+        """What ``simulate`` runs for each stage: None for a postselection,
+        else a circuit.  From an ancilla postselection until a circuit acts
+        on the ancilla, its |1> half is exactly zero; while the ancilla is
+        the top qubit, the circuits in between run on the lower half alone,
+        as copies of themselves one qubit narrower."""
+        anc, n = self.layout.ancilla, self.n_qubits
+        out, clear = [], False
+        for st in self.stages:
+            if isinstance(st, PostselectStage):
+                out.append(None)
+                clear = True
+                continue
+            ops = st.circuit.ops
+            clear = clear and all(anc not in (op.target, op.control) for op in ops)
+            out.append(Circuit(n - 1, ops) if clear and anc == n - 1 else st.circuit)
+        return tuple(out)
 
     def stage_counts(self) -> dict[str, int]:
         counts = {"wave": 0, "damp_real": 0, "damp_phase": 0, "postselect": 0}
@@ -144,24 +164,27 @@ def simulate(plan: SplitStepPlan, T: int, initial: StateVector) -> RunReport:
         raise ValueError("need at least one step")
     if initial.n_qubits != plan.n_qubits:
         raise ValueError("initial state size does not match the plan")
-    anc = plan.layout.ancilla
-    tail = initial.amp.reshape((2,) * initial.n_qubits)
-    tail = np.take(tail, 1, axis=initial.n_qubits - 1 - anc)
-    if float(np.sum(np.abs(tail) ** 2)) > 1e-12:
+    anc, n = plan.layout.ancilla, plan.n_qubits
+    tail = initial.amp.reshape(-1, 2, 2**anc)[:, 1]
+    re, im = tail.real, tail.imag
+    if float(np.einsum("ij,ij->", re, re) + np.einsum("ij,ij->", im, im)) > 1e-12:
         raise ValueError("ancilla must start in |0>")
 
     t0 = time.perf_counter()
     # a copy this call owns, so every stage can work in place
-    state = StateVector(initial.n_qubits, np.array(initial.amp, dtype=complex).reshape(-1),
+    state = StateVector(n, np.array(initial.amp, dtype=complex).reshape(-1),
                         initial.magnitude)
+    low = state.amp[: 2 ** (n - 1)]  # the ancilla-|0> half when the ancilla is on top
     success = 1.0
     for _ in range(T):
-        for stage in plan.stages:
-            if isinstance(stage, PostselectStage):
+        for circuit in plan._schedule:
+            if circuit is None:
                 p, state = postselect(state, anc, 0, out=state.amp)
                 success *= p
+            elif circuit.n_qubits < n:
+                apply_circuit(StateVector(n - 1, low, state.magnitude), circuit, out=low)
             else:
-                state = apply_circuit(state, stage.circuit, out=state.amp)
+                state = apply_circuit(state, circuit, out=state.amp)
     wall = time.perf_counter() - t0
     per_step = plan.cnot_per_step
     return RunReport(

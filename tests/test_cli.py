@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import subprocess
 import sys
 
@@ -82,6 +83,23 @@ def test_range_checks_exit_code(capsys):
     assert run(["simulate", "--scheme", "lie", "--d", "4"]) == 2
     assert run(["simulate", "--scheme", "lie", "--steps", "0"]) == 2
     assert run(["gates", "--scheme", "lie", "--n", "25"]) == 2
+    capsys.readouterr()
+
+
+def test_qubit_cap_rejects_before_allocating(monkeypatch, capsys):
+    from wavesplit import cli, harness
+
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("allocated past the qubit cap")
+
+    monkeypatch.setattr(harness, "gaussian_profile", no_alloc)
+    assert run(["simulate", "--scheme", "lie", "--n", "20", "--d", "3"]) == 2
+    assert run(["sweep", "--scheme", "lie", "--n", "13", "--d", "2"]) == 2
+    assert "capped at" in capsys.readouterr().err
+    # at the cap the check passes; nothing is run here
+    args = argparse.Namespace(n=(cli.MAX_QUBITS - 2) // 2, d=2, steps=4)
+    assert cli._check_ranges(args) is None
+    assert run(["gates", "--scheme", "lie", "--n", "20", "--d", "3"]) == 0
     capsys.readouterr()
 
 

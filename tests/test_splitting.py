@@ -9,14 +9,17 @@ from wavesplit.circuits import ModeSystem
 from wavesplit.reference import dense_expm, encode_initial, spectral_pairs
 from wavesplit.schemes import builtin_schemes, get_scheme
 from wavesplit.splitting import (
+    POSTSELECT,
     DampPhaseStage,
     DampRealStage,
+    PostselectStage,
+    SplitStepPlan,
     WaveStage,
     build_step,
     generic_split_matrix,
     simulate,
 )
-from wavesplit.statevector import StateVector
+from wavesplit.statevector import StateVector, postselect
 
 from helpers import random_hermitian, random_neg_semidefinite, split_evolve_pairs
 
@@ -178,12 +181,14 @@ def test_report_accounting_fields():
 @pytest.mark.parametrize("n,d", [(3, 1), (2, 3)])
 def test_one_kernel_call_per_planned_gate(monkeypatch, n, d):
     calls = {"apply_1q": 0, "apply_controlled": 0, "postselect": 0}
+    seen = []  # (kernel, qubits of the state it was handed), in call order
 
     def counting(module, name):
         inner = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            seen.append((name, args[0].n_qubits))
             return inner(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
@@ -203,6 +208,118 @@ def test_one_kernel_call_per_planned_gate(monkeypatch, n, d):
     assert calls["apply_controlled"] == T * sum(op.control is not None for op in ops)
     assert calls["postselect"] == T * plan.stage_counts()["postselect"]
     assert np.array_equal(initial.amp, before)
+
+    # wave gates run on the ancilla-|0> half, everything else full width
+    nq = plan.n_qubits
+    expected = []
+    for st in plan.stages:
+        if isinstance(st, PostselectStage):
+            expected.append(("postselect", nq))
+            continue
+        width = nq - 1 if isinstance(st, WaveStage) else nq
+        expected += [("apply_1q" if op.control is None else "apply_controlled", width)
+                     for op in st.circuit.ops]
+    assert seen == T * expected
+
+
+# ------------------------------------------------------- half-state stages
+
+
+def full_width_run(plan, T, initial):
+    """Every stage on the whole state: the path ``simulate`` narrows."""
+    anc = plan.layout.ancilla
+    state = StateVector(initial.n_qubits, initial.amp.copy(), initial.magnitude)
+    success = 1.0
+    for _ in range(T):
+        for st in plan.stages:
+            if isinstance(st, PostselectStage):
+                p, state = postselect(state, anc, 0, out=state.amp)
+                success *= p
+            else:
+                state = circuits.apply_circuit(state, st.circuit, out=state.amp)
+    return state, success
+
+
+def assert_matches_full_width(plan, T, initial):
+    ref, success = full_width_run(plan, T, initial)
+    report = simulate(plan, T, initial)
+    assert np.array_equal(report.state.amp, ref.amp)
+    assert report.success_prob == success
+    assert report.magnitude == ref.magnitude
+    return report
+
+
+@pytest.mark.parametrize("name", ["lie", "strang", "castella4", "bernier6"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("T", [1, 2, 3])
+def test_half_state_stages_match_full_width(name, d, T):
+    n = 3 if d == 1 else 2
+    phi, dphi = random_fields(2**n, d)
+    plan = build_step(get_scheme(name), ModeSystem(n=n, d=d, gamma=0.6), 0.07)
+    report = assert_matches_full_width(plan, T, encode_initial(phi, dphi))
+    assert not np.any(report.state.amp[2 ** (plan.n_qubits - 1):])
+
+
+def warm_ancilla_initial(sys_):
+    """An encoded state with a small ancilla-|1> part that simulate accepts."""
+    phi, dphi = random_fields(2**sys_.n, sys_.d)
+    amp = encode_initial(phi, dphi).amp.copy()
+    half = amp.size // 2
+    amp[half:] = 1e-8 * amp[:half]
+    return StateVector(sys_.n_qubits, amp)
+
+
+def hand_built(stages_of, layout=None):
+    """A plan on n=3 from ``stages_of(wave, damp, layout)``."""
+    sys3 = ModeSystem(n=3, gamma=0.6)
+    layout = layout or sys3.layout()
+    wave = WaveStage(0, 0.1, circuits.wave_evolution_circuit(sys3, 0.3, 0, layout))
+    damp = DampRealStage(0.05, circuits.damping_real_circuit(0.05, layout))
+    stages = stages_of(wave, damp, layout)
+    return SplitStepPlan(get_scheme("lie"), sys3, 0.1, stages, layout), wave, damp
+
+
+def test_wave_before_any_postselect_runs_full_width():
+    plan, wave, damp = hand_built(lambda w, d, _: (w, d, POSTSELECT, w))
+    initial = warm_ancilla_initial(plan.sys)
+    assert_matches_full_width(plan, 2, initial)
+    # the input tells the paths apart: narrowing the leading wave drops
+    # its action on the ancilla-|1> part, which the damping mixes back in
+    nq = plan.n_qubits
+    wrong = StateVector(nq, initial.amp.copy())
+    low = wrong.amp[: wrong.amp.size // 2]
+    circuits.apply_circuit(StateVector(nq - 1, low),
+                           circuits.Circuit(nq - 1, wave.circuit.ops), out=low)
+    rest = SplitStepPlan(plan.scheme, plan.sys, plan.dt, (damp, POSTSELECT, wave), plan.layout)
+    assert not np.array_equal(full_width_run(rest, 1, wrong)[0].amp,
+                              simulate(plan, 1, initial).state.amp)
+
+
+def test_ancilla_controlled_circuit_runs_full_width():
+    def stages_of(wave, damp, layout):
+        anc, sel = layout.ancilla, layout.selector
+        controlled = circuits.Circuit(layout.n_qubits, (
+            circuits.GateOp("CRY", sel, control=anc, angle=0.9),), layout)
+        lift = circuits.Circuit(layout.n_qubits, (
+            circuits.GateOp("RY", anc, angle=0.4),
+            circuits.GateOp("CRY", sel, control=anc, angle=0.9),
+        ), layout)
+        return (damp, POSTSELECT, DampRealStage(0.0, controlled), wave,
+                DampRealStage(0.0, lift), wave, POSTSELECT, wave)
+
+    plan, _, _ = hand_built(stages_of)
+    phi, dphi = random_fields(8)
+    assert_matches_full_width(plan, 2, encode_initial(phi, dphi))
+
+
+def test_ancilla_below_the_top_runs_full_width():
+    # ancilla on qubit 0, data on qubits 2-4: the lower half is not its |0> half
+    layout = circuits.RegisterLayout(((2, 3, 4),), selector=1, ancilla=0)
+    plan, _, _ = hand_built(lambda w, d, _: (d, POSTSELECT, w), layout)
+    amp = np.zeros(2**plan.n_qubits, dtype=complex)
+    amp[::2] = rng.standard_normal(amp.size // 2)
+    initial = StateVector.from_amplitudes(amp)
+    assert_matches_full_width(plan, 2, initial)
 
 
 # ----------------------------------------------------- generic dense splitting
