@@ -103,6 +103,12 @@ class Circuit:
         counted, never applied, do not pay for them."""
         return tuple(_op_gate(op) for op in self.ops)
 
+    @cached_property
+    def _scratch_size(self) -> int:
+        """Amplitudes of scratch ``apply_circuit`` shares across the gates:
+        2**(n+1) when an uncontrolled RY needs it, 2**n otherwise."""
+        return 2 ** (self.n_qubits + any(op.kind == "RY" for op in self.ops))
+
 
 @dataclass(frozen=True)
 class ModeSystem:
@@ -271,8 +277,7 @@ def apply_circuit(state: StateVector, circuit: Circuit,
     """
     if state.n_qubits != circuit.n_qubits:
         raise ValueError("state and circuit disagree on qubit count")
-    wide = any(op.kind == "RY" for op in circuit.ops)
-    work = np.empty(2 ** (state.n_qubits + wide), dtype=complex)
+    work = np.empty(circuit._scratch_size, dtype=complex)
     for op, gate in zip(circuit.ops, circuit.gates):
         if op.control is None:
             state = apply_1q(state, gate, op.target, out, work=work)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -30,16 +30,13 @@ class Gate2x2:
 
     @cached_property
     def _entries(self) -> tuple:
-        """The kernel's branch and the entries it needs, as Python scalars
-        (floats where real): ("diag", m00, m11), ("anti", m01, m10), or
-        ("general", m00, m01, m10, m11)."""
-        (a, b), (c, d) = ((z.real if z.imag == 0 else z for z in map(complex, row))
-                          for row in self.matrix)
-        if b == 0 and c == 0:
-            return ("diag", a, d)
-        if a == 0 and d == 0:
-            return ("anti", b, c)
-        return ("general", a, b, c, d)
+        """The kernel's branch ("diag", "anti" or "general"), then (m00, m11)
+        and (m01, m10) as views of the matrix shaped (2, 1, 1, 1), to
+        scale a pair view."""
+        m = np.asarray(self.matrix, dtype=complex)
+        (a, b), (c, d) = m
+        kind = "diag" if b == 0 == c else "anti" if a == 0 == d else "general"
+        return kind, m.diagonal().reshape(2, 1, 1, 1), m[:, ::-1].diagonal().reshape(2, 1, 1, 1)
 
     @classmethod
     def ry(cls, theta: float) -> "Gate2x2":
@@ -113,75 +110,59 @@ def _scratch(state: StateVector, dst: np.ndarray, work: np.ndarray | None,
     if work is None:
         return np.empty(size, dtype=complex)
     if (work.dtype != complex or work.size < size or not work.flags.c_contiguous
-            or np.may_share_memory(work, state.amp) or np.may_share_memory(work, dst)):
+            or np.may_share_memory(work, state.amp)
+            or dst is not state.amp and np.may_share_memory(work, dst)):
         raise ValueError(f"work must be a C-contiguous complex array of at least {size} "
                          f"amplitudes that does not overlap the amplitudes")
     return work.reshape(-1)[:size]
 
 
-def _pin(psi: np.ndarray, pins) -> np.ndarray:
-    """Basic-slice view of ``psi`` with each ``(qubit, bit)`` pinned.
-
-    The trailing Ellipsis keeps a fully pinned view an array, so it can
-    still be written through.
+@lru_cache(maxsize=None)  # keys are bounded by the qubit count
+def _pair_plan(n: int, target: int, control: int | None) -> tuple:
+    """``(shape, ctl1, axes)``: ``amp.reshape(shape)[ctl1].transpose(axes)``
+    is the (2, ...) pair view of the target-0 and target-1 amplitudes where
+    the control is 1.  C order puts high qubits first.
     """
-    sel = [slice(None)] * psi.ndim
-    for qubit, bit in pins:
-        sel[psi.ndim - 1 - qubit] = bit  # C-order reshape puts qubit n-1 on axis 0
-    return psi[(*sel, ...)]
-
-
-def _scale(src: np.ndarray, k, dst: np.ndarray) -> None:
-    if k != 1:
-        np.multiply(src, k, out=dst)
-    elif dst is not src:
-        np.copyto(dst, src)
+    if control is None:
+        return (2 ** (n - 1 - target), 2, 1, 2**target), ..., (1, 0, 2, 3)
+    hi, lo = max(target, control), min(target, control)
+    ctl1 = (slice(None),) * (1 if control == hi else 3) + (1,)
+    return ((2 ** (n - 1 - hi), 2, 2 ** (hi - lo - 1), 2, 2**lo), ctl1,
+            (1, 0, 2, 3) if target == hi else (2, 0, 1, 3))
 
 
 def _apply_2x2(state: StateVector, gate: Gate2x2, target: int, control: int | None,
                out: np.ndarray | None, work: np.ndarray | None) -> StateVector:
-    """Apply ``gate`` to the target-0/target-1 halves of the control-1
-    subspace through strided views.  ``out`` may be ``state.amp``.
+    """Apply ``gate`` to the pair view of ``_pair_plan``.  ``out`` may be
+    ``state.amp``; any other output gets a copy of the input first, so
+    the arithmetic, and numpy's rounding of it, is the same either way.
     """
-    n = state.n_qubits
     dst = _output(state, out)
-    psi, phi = state.amp.reshape((2,) * n), dst.reshape((2,) * n)
-    ctl = () if control is None else ((control, 1),)
-    s0, s1 = _pin(psi, ((target, 0), *ctl)), _pin(psi, ((target, 1), *ctl))
-    d0, d1 = s0, s1
     if dst is not state.amp:
-        if control is not None:
-            np.copyto(_pin(phi, ((control, 0),)), _pin(psi, ((control, 0),)))
-        d0, d1 = _pin(phi, ((target, 0), *ctl)), _pin(phi, ((target, 1), *ctl))
-    result = StateVector(n, dst, state.magnitude)
-    kind, *m = gate._entries
+        np.copyto(dst, state.amp)
+    shape, ctl1, axes = _pair_plan(state.n_qubits, target, control)
+    pair = dst.reshape(shape)[ctl1].transpose(axes)
+    result = StateVector(state.n_qubits, dst, state.magnitude)
+    kind, diag, cross = gate._entries
     if kind == "diag":
-        _scale(s0, m[0], d0)
-        _scale(s1, m[1], d1)
+        for k, half in zip(diag.flat, pair):
+            if k != 1:
+                half *= k
         return result
     # A strided ufunc pays per run of contiguous amplitudes, and a low
     # control qubit makes the runs short; a copy pays far less per run.
-    # So the halves are copied out, combined contiguously, copied back.
-    k = s0.size
+    # So the pair is copied out once, combined contiguously, copied back.
     if kind == "anti":
-        a = _scratch(state, dst, work, k).reshape(s0.shape)
-        np.copyto(a, s0)
-        _scale(s1, m[0], d0)
-        _scale(a, m[1], d1)
+        ab = _scratch(state, dst, work, pair.size).reshape(pair.shape)
+        np.copyto(ab, pair)
+        np.multiply(ab[::-1], cross, out=pair)
         return result
-    m00, m01, m10, m11 = m
-    tmp = _scratch(state, dst, work, 4 * k)
-    a, b, u, v = (tmp[i * k:(i + 1) * k].reshape(s0.shape) for i in range(4))
-    np.copyto(a, s0)
-    np.copyto(b, s1)
-    np.multiply(b, m01, out=u)
-    np.multiply(a, m10, out=v)
-    a *= m00
-    a += u
-    b *= m11
-    b += v
-    np.copyto(d0, a)
-    np.copyto(d1, b)
+    ab, uv = _scratch(state, dst, work, 2 * pair.size).reshape((2, *pair.shape))
+    np.copyto(ab, pair)
+    np.multiply(ab[::-1], cross, out=uv)  # (m01 b, m10 a)
+    ab *= diag
+    ab += uv
+    np.copyto(pair, ab)
     return result
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from wavesplit.circuits import Circuit, GateOp, apply_circuit
 from wavesplit.statevector import (
@@ -157,6 +158,85 @@ def test_kernel_branches_with_asymmetric_entries(matrix):
             apply_controlled(s, gate, control, target, out=s.amp)
         assert np.max(np.abs(fresh.amp - expected)) < 1e-14
         assert np.max(np.abs(s.amp - expected)) < 1e-14
+
+
+@st.composite
+def kernel_draws(draw):
+    """(n, target, control, matrix, seed): a random complex 2x2 with
+    entries zeroed at random, drawn so that every branch of the kernel
+    (diagonal, anti-diagonal, general) is hit."""
+    n = draw(st.sampled_from(range(1, 7)))
+    target = draw(st.sampled_from(range(n)))
+    control = draw(st.sampled_from([None, *(q for q in range(n) if q != target)]))
+    # the entries (m00, m01, m10, m11) a diagonal, anti-diagonal or general
+    # matrix may use; one of them is zeroed at random, or none
+    used = draw(st.sampled_from([(0, 3), (1, 2), (0, 1, 2, 3)]))
+    zero = draw(st.sampled_from([None, *used]))
+    part = st.floats(-2, 2, allow_nan=False, allow_infinity=False)
+    matrix = np.zeros(4, dtype=complex)
+    for i in used:
+        if i != zero:
+            matrix[i] = complex(draw(part), draw(part))
+    matrix = matrix.reshape(2, 2)
+    return n, target, control, matrix, draw(st.integers(0, 2**32 - 1))
+
+
+@given(kernel_draws())
+def test_kernel_matches_basis_oracle(draw):
+    n, target, control, matrix, seed = draw
+    gen = np.random.default_rng(seed)
+    s = StateVector(n, gen.standard_normal(2**n) + 1j * gen.standard_normal(2**n))
+    expected = embed_2x2(matrix, n, target, control) @ s.amp
+    gate = Gate2x2(matrix)
+
+    def apply(out=None, work=None):
+        if control is None:
+            return apply_1q(s, gate, target, out, work=work)
+        return apply_controlled(s, gate, control, target, out, work=work)
+
+    fresh = apply()
+    separate = apply(out=np.empty(2**n, dtype=complex))
+    assert np.max(np.abs(fresh.amp - expected)) < 1e-13
+    assert np.array_equal(separate.amp, fresh.amp)
+    # scratch a gate needs: none for a diagonal, the pair for an
+    # anti-diagonal, twice the pair for a general matrix
+    pair = 2**n if control is None else 2 ** (n - 1)
+    need = (0 if matrix[0, 1] == matrix[1, 0] == 0
+            else pair if not matrix.diagonal().any() else 2 * pair)
+    if need:
+        with pytest.raises(ValueError):
+            apply(out=s.amp, work=np.empty(need - 1, dtype=complex))
+    in_place = apply(out=s.amp, work=np.empty(need, dtype=complex))
+    assert in_place.amp is s.amp
+    assert np.array_equal(s.amp, fresh.amp)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_kernel_rounding_order(n):
+    # byte-identical CSVs rest on each gate computing m00 a + m01 b and
+    # m11 b + m10 a in this order, with no fused or reassociated arithmetic
+    idx = np.arange(2**n)
+    cases = [(Gate2x2.ry(0.7), None, t) for t in range(n)]
+    cases += [(gate, c, t) for gate in (Gate2x2.ry(-1.1), Gate2x2.x(), Gate2x2.p(0.4))
+              for c in range(n) for t in range(n) if c != t]
+    for gate, control, target in cases:
+        s = random_state(n)
+        on = (idx >> target & 1 == 0) & (True if control is None else idx >> control & 1 == 1)
+        idx0 = idx[on]
+        idx1 = idx0 | 1 << target
+        (m00, m01), (m10, m11) = gate.matrix
+        a, b = s.amp[idx0], s.amp[idx1]
+        expected = s.amp.copy()
+        expected[idx0] = a * m00 + b * m01
+        expected[idx1] = b * m11 + a * m10
+        if control is None:
+            fresh = apply_1q(s, gate, target)
+            apply_1q(s, gate, target, out=s.amp)
+        else:
+            fresh = apply_controlled(s, gate, control, target)
+            apply_controlled(s, gate, control, target, out=s.amp)
+        assert np.array_equal(fresh.amp, expected), (gate.name, control, target)
+        assert np.array_equal(s.amp, expected), (gate.name, control, target)
 
 
 @pytest.mark.parametrize("qubit,outcome", [(0, 0), (2, 1), (4, 0), (4, 1)])
