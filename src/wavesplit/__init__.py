@@ -9,7 +9,7 @@ emulated evolution against closed-form propagators.
 from .schemes import (SplittingScheme, ValidationReport, builtin_schemes,
                       get_scheme, validate_scheme)
 from .statevector import (DegeneratePostselectionError, Gate2x2, StateVector,
-                          apply_1q, apply_controlled, fidelity_error, postselect)
+                          apply_1q, apply_controlled, postselect)
 from .circuits import (Circuit, GateOp, ModeSystem, RegisterLayout,
                        apply_circuit, circuit_dump, circuit_to_matrix,
                        cnot_count, damping_phase_gate, damping_real_circuit,
@@ -17,7 +17,7 @@ from .circuits import (Circuit, GateOp, ModeSystem, RegisterLayout,
 from .reference import (ModePairs, decode_state, dense_expm, encode_initial,
                         exact_solution, hermitian_split, mode_propagator,
                         spectral_pairs)
-from .splitting import (RunReport, SplitStepPlan, build_step,
+from .splitting import (RunReport, SplitStepPlan, Stage, build_step,
                         generic_split_matrix, simulate)
 from .harness import (ConvergenceTable, GateReport, convergence_sweep,
                       emit_csv, gate_report, gaussian_profile, run_case)

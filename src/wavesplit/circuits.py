@@ -26,7 +26,7 @@ complex damping coefficient needs only a phase gate on the selector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -78,7 +78,6 @@ class RegisterLayout:
 class Circuit:
     n_qubits: int
     ops: tuple[GateOp, ...]
-    layout: RegisterLayout | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
@@ -227,7 +226,7 @@ def wave_evolution_circuit(sys: ModeSystem, tau: float, dim: int = 0,
         ops.append(GateOp("CRY", target=sel, control=q, angle=-(2.0**r) * tau))
     ops.append(GateOp("CNOT", target=sel, control=top))
     ops.append(GateOp("CRY", target=sel, control=top, angle=-(2.0 ** len(data)) * tau))
-    return Circuit(layout.n_qubits, tuple(ops), layout)
+    return Circuit(layout.n_qubits, tuple(ops))
 
 
 def damping_real_circuit(gamma_dt: float, layout: RegisterLayout) -> Circuit:
@@ -240,7 +239,7 @@ def damping_real_circuit(gamma_dt: float, layout: RegisterLayout) -> Circuit:
         raise ValueError("dissipative stage needs a nonnegative finite argument")
     angle = 2.0 * math.acos(math.exp(-gamma_dt))
     op = GateOp("CRY", target=layout.ancilla, control=layout.selector, angle=angle)
-    return Circuit(layout.n_qubits, (op,), layout)
+    return Circuit(layout.n_qubits, (op,))
 
 
 def damping_phase_gate(gamma_im_dt: float, layout: RegisterLayout) -> Circuit:
@@ -252,7 +251,7 @@ def damping_phase_gate(gamma_im_dt: float, layout: RegisterLayout) -> Circuit:
     if not math.isfinite(gamma_im_dt):
         raise ValueError("phase stage needs a finite argument")
     op = GateOp("P", target=layout.selector, angle=-gamma_im_dt)
-    return Circuit(layout.n_qubits, (op,), layout)
+    return Circuit(layout.n_qubits, (op,))
 
 
 def _op_gate(op: GateOp) -> Gate2x2:
@@ -287,37 +286,22 @@ def apply_circuit(state: StateVector, circuit: Circuit,
     return state
 
 
-_I2 = np.eye(2, dtype=complex)
-_P0 = np.array([[1, 0], [0, 0]], dtype=complex)
-_P1 = np.array([[0, 0], [0, 1]], dtype=complex)
-
-
-def _kron_chain(factors) -> np.ndarray:
-    m = np.eye(1, dtype=complex)
-    for f in factors:
-        m = np.kron(m, f)
-    return m
-
-
-def _embed_op(op: GateOp, n: int) -> np.ndarray:
-    g = _op_gate(op).matrix
-    bits = range(n - 1, -1, -1)  # kron order: highest qubit first
-    if op.control is None:
-        return _kron_chain(g if b == op.target else _I2 for b in bits)
-    idle = _kron_chain(_P0 if b == op.control else _I2 for b in bits)
-    act = _kron_chain(_P1 if b == op.control else (g if b == op.target else _I2)
-                      for b in bits)
-    return idle + act
-
-
 def circuit_to_matrix(circuit: Circuit) -> np.ndarray:
-    """Dense matrix of the circuit, ops multiplied in application order."""
-    if circuit.n_qubits > _MATRIX_QUBIT_CAP:
+    """Dense matrix of the circuit, ops multiplied in application order.
+
+    The identity, flattened row-major, is a state of 2n qubits whose top
+    n qubits index the row; running the circuit on those qubits turns
+    every column e_c into U e_c.
+    """
+    n = circuit.n_qubits
+    if n > _MATRIX_QUBIT_CAP:
         raise ValueError(f"dense form capped at {_MATRIX_QUBIT_CAP} qubits")
-    u = np.eye(2**circuit.n_qubits, dtype=complex)
-    for op in circuit.ops:
-        u = _embed_op(op, circuit.n_qubits) @ u
-    return u
+    lifted = Circuit(2 * n, tuple(
+        GateOp(op.kind, op.target + n, None if op.control is None else op.control + n,
+               op.angle) for op in circuit.ops))
+    u = np.eye(2**n, dtype=complex).reshape(-1)
+    apply_circuit(StateVector(2 * n, u), lifted, out=u)
+    return u.reshape(2**n, 2**n)
 
 
 def cnot_count(circuit: Circuit) -> int:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuits import ModeSystem, circuit_to_matrix, cnot_count, qft_circuit
+from .circuits import ModeSystem, circuit_to_matrix, qft_circuit
 from .reference import (ModePairs, dense_expm, encode_initial, exact_solution,
                         hermitian_split, mode_propagator, spectral_pairs)
 from .schemes import SplittingScheme, builtin_schemes, get_scheme, validate_scheme

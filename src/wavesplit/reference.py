@@ -148,6 +148,8 @@ def encode_initial(phi, dphi_scaled) -> StateVector:
     nrm = float(np.linalg.norm(vec))
     if nrm == 0.0:
         raise ValueError("cannot encode a zero initial state")
+    if not math.isfinite(nrm):
+        raise ValueError("initial fields must be finite")
     n_data = int(pairs.n_modes).bit_length() - 1
     amp = np.zeros(2 ** (n_data + 2), dtype=complex)
     amp[: 2 * pairs.n_modes] = vec / nrm

@@ -1,15 +1,18 @@
 """Splitting steps: stage plans, emulated runs, dense reference products.
 
-A step interleaves dissipative and unitary stages, dissipative first:
+A step is a tuple of ``Stage(kind, param, circuit)`` records that
+interleaves dissipative and unitary stages, dissipative first:
 
-    for each b[i]:   DampReal(a[i]), DampPhase(a[i]), Postselect,
-                     then one WaveStage per spatial dimension
+    for each b[i]:   damp_real, damp_phase, postselect,
+                     then one wave stage per spatial dimension
     then, when len(a) == len(b) + 1, a closing dissipative group.
 
-Complex dissipative coefficients factor exactly into a real contraction
-and a phase, exp(D a dt) == exp(D Re(a) dt) exp(i D Im(a) dt), because
-the dissipative generator is diagonal.  Phase stages with
-|Im(a)| < 1e-15 are omitted.
+``param`` is b[i]*dt for a wave stage, gamma*Re(a[i])*dt for damp_real
+and gamma*Im(a[i])*dt for damp_phase; a postselection carries neither a
+parameter nor a circuit.  Complex dissipative coefficients factor
+exactly into a real contraction and a phase, exp(D a dt) ==
+exp(D Re(a) dt) exp(i D Im(a) dt), because the dissipative generator is
+diagonal.  Phase stages with |Im(a)| < 1e-15 are omitted.
 """
 
 from __future__ import annotations
@@ -30,32 +33,23 @@ from .statevector import StateVector, postselect
 _IM_OMIT_TOL = 1e-15
 _HERM_TOL = 1e-12
 
-
-@dataclass(frozen=True)
-class WaveStage:
-    dim: int
-    coeff_dt: float  # b[i] * dt
-    circuit: Circuit
+STAGE_KINDS = ("wave", "damp_real", "damp_phase", "postselect")
 
 
 @dataclass(frozen=True)
-class DampRealStage:
-    gamma_dt: float  # gamma * Re(a[i]) * dt
-    circuit: Circuit
+class Stage:
+    kind: str  # one of STAGE_KINDS
+    param: float | None = None
+    circuit: Circuit | None = None
+
+    def __post_init__(self):
+        if self.kind not in STAGE_KINDS:
+            raise ValueError(f"unknown stage kind {self.kind!r}")
+        if (self.kind == "postselect") != (self.circuit is None):
+            raise ValueError("every stage but a postselection carries a circuit")
 
 
-@dataclass(frozen=True)
-class DampPhaseStage:
-    gamma_im_dt: float  # gamma * Im(a[i]) * dt
-    circuit: Circuit
-
-
-@dataclass(frozen=True)
-class PostselectStage:
-    pass
-
-
-POSTSELECT = PostselectStage()
+POSTSELECT = Stage("postselect")
 
 
 @dataclass(frozen=True)
@@ -63,7 +57,7 @@ class SplitStepPlan:
     scheme: SplittingScheme
     sys: ModeSystem
     dt: float
-    stages: tuple
+    stages: tuple[Stage, ...]
     layout: RegisterLayout
 
     @property
@@ -73,7 +67,7 @@ class SplitStepPlan:
     @property
     def cnot_per_step(self) -> int:
         return sum(cnot_count(st.circuit) for st in self.stages
-                   if not isinstance(st, PostselectStage))
+                   if st.circuit is not None)
 
     @cached_property
     def _schedule(self) -> tuple:
@@ -85,7 +79,7 @@ class SplitStepPlan:
         anc, n = self.layout.ancilla, self.n_qubits
         out, clear = [], False
         for st in self.stages:
-            if isinstance(st, PostselectStage):
+            if st.circuit is None:
                 out.append(None)
                 clear = True
                 continue
@@ -95,16 +89,9 @@ class SplitStepPlan:
         return tuple(out)
 
     def stage_counts(self) -> dict[str, int]:
-        counts = {"wave": 0, "damp_real": 0, "damp_phase": 0, "postselect": 0}
+        counts = dict.fromkeys(STAGE_KINDS, 0)
         for st in self.stages:
-            if isinstance(st, WaveStage):
-                counts["wave"] += 1
-            elif isinstance(st, DampRealStage):
-                counts["damp_real"] += 1
-            elif isinstance(st, DampPhaseStage):
-                counts["damp_phase"] += 1
-            else:
-                counts["postselect"] += 1
+            counts[st.kind] += 1
         return counts
 
 
@@ -122,7 +109,6 @@ class RunReport:
     cnot_total: int
     qubits: int
     wall_time: float
-    magnitude: float
     epsilon: float | None = None
     state: StateVector | None = field(default=None, repr=False)
 
@@ -135,21 +121,20 @@ def build_step(scheme: SplittingScheme, sys: ModeSystem, dt: float) -> SplitStep
     if not (len(a) == len(b) + 1 or len(a) == len(b) == 1):
         raise ValueError(f"scheme {scheme.name!r} has unsupported stage counts")
     layout = sys.layout()
-    stages: list = []
+    stages: list[Stage] = []
 
     def dissipative(ai: complex) -> None:
-        stages.append(DampRealStage(sys.gamma * ai.real * dt,
-                                    damping_real_circuit(sys.gamma * ai.real * dt, layout)))
+        g_re, g_im = sys.gamma * ai.real * dt, sys.gamma * ai.imag * dt
+        stages.append(Stage("damp_real", g_re, damping_real_circuit(g_re, layout)))
         if abs(ai.imag) >= _IM_OMIT_TOL:
-            stages.append(DampPhaseStage(sys.gamma * ai.imag * dt,
-                                         damping_phase_gate(sys.gamma * ai.imag * dt, layout)))
+            stages.append(Stage("damp_phase", g_im, damping_phase_gate(g_im, layout)))
         stages.append(POSTSELECT)
 
     for i, bi in enumerate(b):
         dissipative(complex(a[i]))
         for dim in range(sys.d):
-            stages.append(WaveStage(dim, bi * dt,
-                                    wave_evolution_circuit(sys, sys.zeta * bi * dt, dim, layout)))
+            stages.append(Stage("wave", bi * dt,
+                                wave_evolution_circuit(sys, sys.zeta * bi * dt, dim, layout)))
     if len(a) == len(b) + 1:
         dissipative(complex(a[-1]))
     return SplitStepPlan(scheme, sys, dt, tuple(stages), layout)
@@ -198,7 +183,6 @@ def simulate(plan: SplitStepPlan, T: int, initial: StateVector) -> RunReport:
         cnot_total=per_step * T,
         qubits=plan.n_qubits,
         wall_time=wall,
-        magnitude=state.magnitude,
         state=state,
     )
 

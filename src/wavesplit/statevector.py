@@ -222,13 +222,3 @@ def postselect(state: StateVector, qubit: int, outcome: int,
     phi[:, 1 - outcome] = 0
     return p, StateVector(n, dst, state.magnitude * math.sqrt(p))
 
-
-def fidelity_error(state: StateVector, reference) -> float:
-    """L2 distance between the working amplitudes and a reference vector.
-
-    The reference is expected to be pre-scaled to unit norm by the caller.
-    """
-    ref = np.asarray(reference, dtype=complex).reshape(-1)
-    if ref.size != state.amp.size:
-        raise ValueError(f"reference length {ref.size} != state length {state.amp.size}")
-    return float(np.linalg.norm(state.amp - ref))

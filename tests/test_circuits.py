@@ -5,6 +5,7 @@ import pytest
 
 from wavesplit import statevector
 from wavesplit.circuits import (
+    GATE_KINDS,
     Circuit,
     GateOp,
     ModeSystem,
@@ -127,10 +128,29 @@ def test_wave_circuit_block_structure(n):
     assert cnot_count(circ) == 2 * n + 4
 
 
+def random_op(kind: str, n: int) -> GateOp:
+    target = int(rng.integers(n))
+    control = None
+    if kind in ("CNOT", "CRY", "CP"):
+        control = int(rng.integers(n))
+        while control == target:
+            control = int(rng.integers(n))
+    angle = None if kind in ("X", "CNOT") else float(rng.uniform(-np.pi, np.pi))
+    return GateOp(kind, target=target, control=control, angle=angle)
+
+
 def test_wave_circuit_independent_embedding_oracle():
     sys2 = ModeSystem(n=2)
     circ = wave_evolution_circuit(sys2, 0.21)
     assert np.max(np.abs(circuit_to_matrix(circ) - circuit_matrix(circ, 4))) < 1e-13
+    # random circuits with one op of every kind that fits, the uncontrolled
+    # RY among them since it sizes the doubled register's scratch
+    for n in range(1, 6):
+        kinds = GATE_KINDS if n > 1 else ("RY", "RZ", "P", "X")
+        ops = [random_op(kind, n) for kind in kinds]
+        ops += [random_op(kinds[rng.integers(len(kinds))], n) for _ in range(6 * n)]
+        circ = Circuit(n, tuple(ops))
+        assert np.max(np.abs(circuit_to_matrix(circ) - circuit_matrix(circ, n))) < 1e-13
 
 
 def test_damping_real_circuit_action():
@@ -162,23 +182,12 @@ def test_damping_phase_gate_action():
 
 def test_apply_circuit_matches_matrix_path():
     n = 4
-    kinds = ["RY", "RZ", "P", "X", "CNOT", "CRY", "CP"]
-    ops = []
-    for _ in range(30):
-        kind = kinds[rng.integers(len(kinds))]
-        target = int(rng.integers(n))
-        control = None
-        if kind in ("CNOT", "CRY", "CP"):
-            control = int(rng.integers(n))
-            while control == target:
-                control = int(rng.integers(n))
-        angle = None if kind in ("X", "CNOT") else float(rng.uniform(-np.pi, np.pi))
-        ops.append(GateOp(kind, target=target, control=control, angle=angle))
-    circ = Circuit(n, tuple(ops))
+    circ = Circuit(n, tuple(random_op(GATE_KINDS[rng.integers(len(GATE_KINDS))], n)
+                            for _ in range(30)))
     amp = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
     state = StateVector.from_amplitudes(amp)
     evolved = apply_circuit(state, circ)
-    expected = circuit_to_matrix(circ) @ state.amp.reshape(-1)
+    expected = circuit_matrix(circ, n) @ state.amp.reshape(-1)
     assert np.max(np.abs(evolved.amp.reshape(-1) - expected)) < 1e-13
 
 
@@ -198,6 +207,10 @@ def test_gate_matrices_built_once_on_first_application():
 def test_apply_circuit_gates_share_one_scratch(monkeypatch, make):
     # an uncontrolled RY needs twice the scratch of a controlled gate; the
     # kernel rejects a short one, so a circuit must size it for its gates
+    circ = make()
+    amp = rng.standard_normal(2 ** circ.n_qubits) + 1j * rng.standard_normal(2 ** circ.n_qubits)
+    state = StateVector.from_amplitudes(amp)
+    expected = circuit_matrix(circ, circ.n_qubits) @ state.amp
     seen = []
     inner = statevector._scratch
 
@@ -205,11 +218,7 @@ def test_apply_circuit_gates_share_one_scratch(monkeypatch, make):
         seen.append(work)
         return inner(state, dst, work, size)
     monkeypatch.setattr(statevector, "_scratch", spy)
-    circ = make()
-    amp = rng.standard_normal(2 ** circ.n_qubits) + 1j * rng.standard_normal(2 ** circ.n_qubits)
-    state = StateVector.from_amplitudes(amp)
     evolved = apply_circuit(state, circ)
-    expected = circuit_to_matrix(circ) @ state.amp
     assert np.max(np.abs(evolved.amp - expected)) < 1e-13
     assert seen and seen[0] is not None and all(w is seen[0] for w in seen)
 

@@ -111,6 +111,18 @@ def test_steps_list_exit_codes(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_finite_profile_exit_code(capsys):
+    # a nan width or center makes a nan profile: a domain error, not a nan result
+    assert run(["simulate", "--scheme", "lie", "--n", "3", "--width", "nan"]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert run(["simulate", "--scheme", "lie", "--n", "3", "--center", "nan"]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert run(["sweep", "--scheme", "strang", "--n", "3", "--width", "nan",
+                "--steps-list", "4,6,8"]) == 1
+    captured = capsys.readouterr()
+    assert "finite" in captured.err and "epsilon=nan" not in captured.out
+
+
 def test_runtime_error_exit_code(capsys):
     # negative damping ratio fails domain validation, not argument parsing
     assert run(["simulate", "--scheme", "lie", "--n", "3",

@@ -167,6 +167,16 @@ def test_encode_initial_layout():
     assert np.linalg.norm(flat) == pytest.approx(1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_encode_initial_rejects_non_finite_fields(bad):
+    phi = rng.standard_normal(16)
+    phi[3] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+        encode_initial(phi, np.zeros(16))
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+        encode_initial(np.ones(16), np.full(16, bad))
+
+
 def test_encode_decode_round_trip():
     phi = rng.standard_normal(16)
     dphi = rng.standard_normal(16)

@@ -10,11 +10,8 @@ from wavesplit.reference import dense_expm, encode_initial, spectral_pairs
 from wavesplit.schemes import builtin_schemes, get_scheme
 from wavesplit.splitting import (
     POSTSELECT,
-    DampPhaseStage,
-    DampRealStage,
-    PostselectStage,
     SplitStepPlan,
-    WaveStage,
+    Stage,
     build_step,
     generic_split_matrix,
     simulate,
@@ -59,29 +56,47 @@ def test_phase_stages_only_for_complex_coefficients():
 
 def test_dissipative_first_ordering():
     plan = build_step(get_scheme("strang"), ModeSystem(n=2, gamma=0.4), 0.1)
-    kinds = [type(s).__name__ for s in plan.stages]
-    assert kinds[0] == "DampRealStage"
-    assert kinds[-2] == "DampRealStage"  # closing half stage, then postselect
-    assert kinds[-1] == "PostselectStage"
+    kinds = [s.kind for s in plan.stages]
+    assert kinds[0] == "damp_real"
+    assert kinds[-2] == "damp_real"  # closing half stage, then postselect
+    assert kinds[-1] == "postselect"
 
 
 def test_wave_stage_dimension_order():
     plan = build_step(get_scheme("lie"), ModeSystem(n=2, d=3, gamma=0.1), 0.1)
-    dims = [s.dim for s in plan.stages if isinstance(s, WaveStage)]
-    assert dims == [0, 1, 2]
+    waves = [s for s in plan.stages if s.kind == "wave"]
+    assert len(waves) == 3
+    for k, stage in enumerate(waves):
+        controls = {op.control for op in stage.circuit.ops}
+        assert controls == set(plan.layout.data[k])
 
 
 def test_stage_coefficients_recorded():
     scheme = get_scheme("castella4")
     dt = 0.07
     plan = build_step(scheme, ModeSystem(n=2, gamma=0.9), dt)
-    damp = [s for s in plan.stages if isinstance(s, DampRealStage)]
-    phases = [s for s in plan.stages if isinstance(s, DampPhaseStage)]
+    damp = [s for s in plan.stages if s.kind == "damp_real"]
+    phases = [s for s in plan.stages if s.kind == "damp_phase"]
+    waves = [s for s in plan.stages if s.kind == "wave"]
     gamma = 0.9
     for stage, a in zip(damp, scheme.a):
-        assert stage.gamma_dt == pytest.approx(gamma * a.real * dt, rel=1e-15)
+        assert stage.param == pytest.approx(gamma * a.real * dt, rel=1e-15)
     for stage, a in zip(phases, scheme.a):
-        assert stage.gamma_im_dt == pytest.approx(gamma * a.imag * dt, rel=1e-15)
+        assert stage.param == pytest.approx(gamma * a.imag * dt, rel=1e-15)
+    for stage, b in zip(waves, scheme.b):
+        assert stage.param == pytest.approx(b * dt, rel=1e-15)
+    assert POSTSELECT.param is None and POSTSELECT.circuit is None
+
+
+def test_stage_rejects_mismatched_records():
+    circ = circuits.damping_real_circuit(0.1, ModeSystem(n=1).layout())
+    assert Stage("damp_real", 0.1, circ).circuit is circ
+    with pytest.raises(ValueError):
+        Stage("wave", 0.1)  # a circuit stage without its circuit
+    with pytest.raises(ValueError):
+        Stage("postselect", circuit=circ)
+    with pytest.raises(ValueError):
+        Stage("shear", 0.1, circ)
 
 
 def test_build_step_rejects_bad_dt():
@@ -203,7 +218,7 @@ def test_one_kernel_call_per_planned_gate(monkeypatch, n, d):
     T = 2
     simulate(plan, T, initial)
 
-    ops = [op for st in plan.stages if hasattr(st, "circuit") for op in st.circuit.ops]
+    ops = [op for st in plan.stages if st.circuit is not None for op in st.circuit.ops]
     assert calls["apply_1q"] == T * sum(op.control is None for op in ops)
     assert calls["apply_controlled"] == T * sum(op.control is not None for op in ops)
     assert calls["postselect"] == T * plan.stage_counts()["postselect"]
@@ -213,10 +228,10 @@ def test_one_kernel_call_per_planned_gate(monkeypatch, n, d):
     nq = plan.n_qubits
     expected = []
     for st in plan.stages:
-        if isinstance(st, PostselectStage):
+        if st.kind == "postselect":
             expected.append(("postselect", nq))
             continue
-        width = nq - 1 if isinstance(st, WaveStage) else nq
+        width = nq - 1 if st.kind == "wave" else nq
         expected += [("apply_1q" if op.control is None else "apply_controlled", width)
                      for op in st.circuit.ops]
     assert seen == T * expected
@@ -232,7 +247,7 @@ def full_width_run(plan, T, initial):
     success = 1.0
     for _ in range(T):
         for st in plan.stages:
-            if isinstance(st, PostselectStage):
+            if st.kind == "postselect":
                 p, state = postselect(state, anc, 0, out=state.amp)
                 success *= p
             else:
@@ -245,7 +260,7 @@ def assert_matches_full_width(plan, T, initial):
     report = simulate(plan, T, initial)
     assert np.array_equal(report.state.amp, ref.amp)
     assert report.success_prob == success
-    assert report.magnitude == ref.magnitude
+    assert report.state.magnitude == ref.magnitude
     return report
 
 
@@ -273,8 +288,8 @@ def hand_built(stages_of, layout=None):
     """A plan on n=3 from ``stages_of(wave, damp, layout)``."""
     sys3 = ModeSystem(n=3, gamma=0.6)
     layout = layout or sys3.layout()
-    wave = WaveStage(0, 0.1, circuits.wave_evolution_circuit(sys3, 0.3, 0, layout))
-    damp = DampRealStage(0.05, circuits.damping_real_circuit(0.05, layout))
+    wave = Stage("wave", 0.1, circuits.wave_evolution_circuit(sys3, 0.3, 0, layout))
+    damp = Stage("damp_real", 0.05, circuits.damping_real_circuit(0.05, layout))
     stages = stages_of(wave, damp, layout)
     return SplitStepPlan(get_scheme("lie"), sys3, 0.1, stages, layout), wave, damp
 
@@ -299,13 +314,13 @@ def test_ancilla_controlled_circuit_runs_full_width():
     def stages_of(wave, damp, layout):
         anc, sel = layout.ancilla, layout.selector
         controlled = circuits.Circuit(layout.n_qubits, (
-            circuits.GateOp("CRY", sel, control=anc, angle=0.9),), layout)
+            circuits.GateOp("CRY", sel, control=anc, angle=0.9),))
         lift = circuits.Circuit(layout.n_qubits, (
             circuits.GateOp("RY", anc, angle=0.4),
             circuits.GateOp("CRY", sel, control=anc, angle=0.9),
-        ), layout)
-        return (damp, POSTSELECT, DampRealStage(0.0, controlled), wave,
-                DampRealStage(0.0, lift), wave, POSTSELECT, wave)
+        ))
+        return (damp, POSTSELECT, Stage("damp_real", 0.0, controlled), wave,
+                Stage("damp_real", 0.0, lift), wave, POSTSELECT, wave)
 
     plan, _, _ = hand_built(stages_of)
     phi, dphi = random_fields(8)

@@ -11,7 +11,6 @@ from wavesplit.statevector import (
     StateVector,
     apply_1q,
     apply_controlled,
-    fidelity_error,
     postselect,
 )
 
@@ -302,15 +301,6 @@ def test_postselect_degenerate_branch():
     s = StateVector.basis(2, index=0)
     with pytest.raises(DegeneratePostselectionError):
         postselect(s, qubit=0, outcome=1)
-
-
-def test_fidelity_error():
-    a = StateVector.basis(2, 0)
-    assert fidelity_error(a, a.amp.reshape(-1)) == 0.0
-    b = StateVector.basis(2, 1)
-    assert abs(fidelity_error(a, b.amp.reshape(-1)) - np.sqrt(2)) < 1e-15
-    with pytest.raises(ValueError):
-        fidelity_error(a, np.ones(8))
 
 
 def test_gate2x2_unitarity():
