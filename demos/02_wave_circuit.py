@@ -25,10 +25,10 @@ print(circuit_dump(circ))
 
 mat = circuit_to_matrix(circ)
 print("\nper-mode rotation angles recovered from the dense matrix:")
-for j in range(sys3.n_modes):
+for j, omega in enumerate(sys3.omegas()):
     angle = np.arctan2(mat[j, j + sys3.n_modes].real, mat[j, j].real)
-    print(f"  mode {j}: omega={sys3.omega(j):8.4f}  "
-          f"angle={angle:8.5f}  expected={sys3.omega(j) * tau / sys3.zeta:8.5f}")
+    print(f"  mode {j}: omega={omega:8.4f}  "
+          f"angle={angle:8.5f}  expected={omega * tau / sys3.zeta:8.5f}")
 
 half = wave_evolution_circuit(sys3, tau / 2)
 twice = circuit_to_matrix(half) @ circuit_to_matrix(half)

@@ -132,8 +132,8 @@ class ModeSystem:
             raise ValueError("spatial dimensions limited to 1..3")
         if self.c <= 0 or self.L <= 0:
             raise ValueError("wave speed and domain length must be positive")
-        if self.gamma < 0:
-            raise ValueError("damping rate must be nonnegative")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError("damping rate must be finite and nonnegative")
 
     @property
     def zeta(self) -> float:
@@ -147,13 +147,6 @@ class ModeSystem:
     @property
     def n_qubits(self) -> int:
         return self.n * self.d + 2
-
-    def omega(self, j: int) -> float:
-        N = self.n_modes
-        if not 0 <= j < N:
-            raise ValueError(f"mode index {j} out of range")
-        wrap = j if j < N // 2 else N - j
-        return 2.0 * math.pi * self.c / self.L * wrap
 
     def omegas(self) -> np.ndarray:
         idx = np.arange(self.n_modes)

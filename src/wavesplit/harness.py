@@ -15,12 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuits import ModeSystem, circuit_to_matrix, qft_circuit
+from .circuits import (ModeSystem, RegisterLayout, apply_circuit, circuit_to_matrix,
+                       damping_phase_gate, damping_real_circuit, qft_circuit,
+                       wave_evolution_circuit)
 from .reference import (ModePairs, dense_expm, encode_initial, exact_solution,
                         hermitian_split, mode_propagator, spectral_pairs)
 from .schemes import SplittingScheme, builtin_schemes, get_scheme, validate_scheme
 from .splitting import RunReport, build_step, generic_split_matrix, simulate
-from .statevector import StateVector
+from .statevector import StateVector, postselect
 
 CSV_HEADER = "scheme,n,d,T,dt,epsilon,success_prob,cnots,qubits,wall_time_s"
 
@@ -200,10 +202,44 @@ def scrub_timing(rows) -> list[RunReport]:
     return [dataclasses.replace(r, wall_time=0.0, state=None) for r in rows]
 
 
-def _dft_matrix(n: int) -> np.ndarray:
+def qft_error(n: int) -> float:
+    """Largest entry gap between ``qft_circuit(n)`` and the dense transform
+    F[j, k] = exp(2 pi i j k / 2**n) / 2**(n/2)."""
     N = 2**n
     jk = np.outer(np.arange(N), np.arange(N))
-    return np.exp(2j * np.pi * jk / N) / math.sqrt(N)
+    dft = np.exp(2j * np.pi * jk / N) / math.sqrt(N)
+    return float(np.max(np.abs(circuit_to_matrix(qft_circuit(n)) - dft)))
+
+
+def wave_block_error(sys: ModeSystem, tau: float) -> float:
+    """Largest entry gap between ``wave_evolution_circuit(sys, tau)`` (d=1)
+    and, with the ancilla idle, the direct sum over modes j of the
+    rotation by omega_j * tau / zeta on (u_j, v_j)."""
+    N = sys.n_modes
+    th = sys.omegas() * (tau / sys.zeta)
+    j = np.arange(N)
+    block = np.zeros((2 * N, 2 * N), dtype=complex)
+    block[j, j] = block[j + N, j + N] = np.cos(th)
+    block[j, j + N] = np.sin(th)
+    block[j + N, j] = -np.sin(th)
+    mat = circuit_to_matrix(wave_evolution_circuit(sys, tau))
+    return float(np.max(np.abs(mat - np.kron(np.eye(2), block))))
+
+
+def dissipative_stage_error(g_dt: float, a: complex) -> float:
+    """Largest entry gap between one dissipative stage of coefficient a
+    (damp_real, damp_phase, ancilla postselected on |0>) and
+    diag(1, 1, e^{-g_dt a}, e^{-g_dt a}) on the n=1 data+selector states."""
+    layout = RegisterLayout.standard(n=1)
+    real = damping_real_circuit(g_dt * a.real, layout)
+    phase = damping_phase_gate(g_dt * a.imag, layout)
+    cols = []
+    for k in range(4):
+        state = apply_circuit(apply_circuit(StateVector.basis(layout.n_qubits, k), real), phase)
+        p, state = postselect(state, layout.ancilla, 0)
+        cols.append(math.sqrt(p) * state.amp[:4])
+    decay = np.exp(-g_dt * a)
+    return float(np.max(np.abs(np.column_stack(cols) - np.diag([1, 1, decay, decay]))))
 
 
 def selftest(seed: int = 0) -> list[tuple[str, bool, str]]:
@@ -214,40 +250,15 @@ def selftest(seed: int = 0) -> list[tuple[str, bool, str]]:
     def check(name: str, err: float, tol: float) -> None:
         results.append((name, err <= tol, f"err={err:.3e} tol={tol:.1e}"))
 
-    from .circuits import wave_evolution_circuit, damping_real_circuit, damping_phase_gate
-
-    # wave circuits against directly assembled block rotations
-    worst = 0.0
-    for n in (2, 3, 4):
-        sys = ModeSystem(n=n)
-        for tau in rng.uniform(-3.0, 3.0, size=3):
-            mat = circuit_to_matrix(wave_evolution_circuit(sys, float(tau)))
-            t = float(tau) / sys.zeta
-            block = np.zeros((2 * sys.n_modes, 2 * sys.n_modes), dtype=complex)
-            for j in range(sys.n_modes):
-                th = 2.0 * sys.omega(j) * t
-                r = np.array([[math.cos(th / 2), math.sin(th / 2)],
-                              [-math.sin(th / 2), math.cos(th / 2)]])
-                for p in range(2):
-                    for q in range(2):
-                        block[p * sys.n_modes + j, q * sys.n_modes + j] = r[p, q]
-            full = np.kron(np.eye(2), block)
-            worst = max(worst, float(np.max(np.abs(mat - full))))
-    check("wave_circuit_blocks", worst, 1e-12)
-
-    # Fourier circuit against the dense transform
-    worst = 0.0
-    for n in (1, 2, 3, 4):
-        worst = max(worst, float(np.max(np.abs(
-            circuit_to_matrix(qft_circuit(n)) - _dft_matrix(n)))))
-    check("qft_matrix", worst, 1e-12)
+    check("wave_circuit_blocks", max(wave_block_error(ModeSystem(n=n), float(tau))
+                                     for n in (2, 3, 4)
+                                     for tau in rng.uniform(-3.0, 3.0, size=3)), 1e-12)
+    check("qft_matrix", max(qft_error(n) for n in (1, 2, 3, 4)), 1e-12)
 
     # dissipative contraction against diag(1, exp(-g)) on the selector
     sys = ModeSystem(n=2, gamma=0.7)
     layout = sys.layout()
     worst = 0.0
-    from .circuits import apply_circuit
-    from .statevector import postselect as _post
     for g in (0.0, 0.05, 0.31):
         vec = rng.normal(size=2**sys.n_qubits) + 1j * rng.normal(size=2**sys.n_qubits)
         vec = vec.reshape((2,) * sys.n_qubits)
@@ -256,11 +267,11 @@ def selftest(seed: int = 0) -> list[tuple[str, bool, str]]:
         vec /= np.linalg.norm(vec)
         state = StateVector(sys.n_qubits, vec.copy())
         state = apply_circuit(state, damping_real_circuit(g, layout))
-        p, state = _post(state, layout.ancilla, 0)
+        p, state = postselect(state, layout.ancilla, 0)
         want = vec.copy().reshape((2, 2, 2, 2))
         want[0, 1] *= math.exp(-g)  # (anc, sel, d1, d0)
         want = want.reshape(-1)
-        err = float(np.linalg.norm(state.amp * state.magnitude - want))
+        err = float(np.linalg.norm(state.amp * math.sqrt(p) - want))
         worst = max(worst, err)
     check("damping_contraction", worst, 1e-13)
 
@@ -292,16 +303,12 @@ def selftest(seed: int = 0) -> list[tuple[str, bool, str]]:
     err = max(err, float(np.max(np.abs(h2 - h2.conj().T))))
     check("hermitian_split", err, 1e-14)
 
-    # complex dissipative factorization on the selector
-    worst = 0.0
-    for _ in range(5):
-        g_dt = float(rng.uniform(0.0, 1.0))
-        a = complex(rng.uniform(0.01, 0.3), rng.uniform(-0.3, 0.3))
-        lhs = np.array([1.0, np.exp(-g_dt * a)])
-        rhs = np.array([1.0, math.exp(-g_dt * a.real)]) * \
-            np.array([1.0, np.exp(-1j * g_dt * a.imag)])
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    check("complex_stage_factorization", worst, 1e-13)
+    # complex dissipative stage: real contraction, phase, postselection;
+    # each draw takes g_dt, then Re a, then Im a from the stream
+    check("complex_stage_factorization", max(
+        dissipative_stage_error(float(rng.uniform(0.0, 1.0)),
+                                complex(rng.uniform(0.01, 0.3), rng.uniform(-0.3, 0.3)))
+        for _ in range(5)), 1e-13)
 
     # commuting split: H1 diagonal, H2 zero, any scheme is exact
     diag = np.diag(rng.uniform(-1.0, 0.0, size=4))

@@ -140,8 +140,7 @@ def encode_initial(phi, dphi_scaled) -> StateVector:
 
     The data register holds the mode index, the selector separates u
     (|0>) from v (|1>), and one ancilla is appended in |0>.  The
-    returned state has magnitude 1; the discarded normalization is the
-    norm of ``spectral_pairs(...).concat()``.
+    discarded normalization is the norm of ``spectral_pairs(...).concat()``.
     """
     pairs = spectral_pairs(phi, dphi_scaled)
     vec = pairs.concat()
@@ -153,7 +152,7 @@ def encode_initial(phi, dphi_scaled) -> StateVector:
     n_data = int(pairs.n_modes).bit_length() - 1
     amp = np.zeros(2 ** (n_data + 2), dtype=complex)
     amp[: 2 * pairs.n_modes] = vec / nrm
-    return StateVector(n_data + 2, amp, 1.0)
+    return StateVector(n_data + 2, amp)
 
 
 def decode_state(state: StateVector, shape: tuple[int, ...] | None = None):

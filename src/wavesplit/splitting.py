@@ -97,7 +97,9 @@ class SplitStepPlan:
 
 @dataclass
 class RunReport:
-    """Summary of one emulated trajectory."""
+    """Summary of one emulated trajectory.  ``state`` is unit norm and
+    ``success_prob`` the product of the postselection probabilities, so
+    sqrt(success_prob) * state.amp is the unnormalized final state."""
 
     scheme: str
     n: int
@@ -115,8 +117,8 @@ class RunReport:
 
 def build_step(scheme: SplittingScheme, sys: ModeSystem, dt: float) -> SplitStepPlan:
     """Lay out one splitting step of size dt as an ordered stage tuple."""
-    if not dt > 0:
-        raise ValueError("step size must be positive")
+    if not 0 < dt < np.inf:
+        raise ValueError("step size must be positive and finite")
     a, b = scheme.a, scheme.b
     if not (len(a) == len(b) + 1 or len(a) == len(b) == 1):
         raise ValueError(f"scheme {scheme.name!r} has unsupported stage counts")
@@ -157,8 +159,7 @@ def simulate(plan: SplitStepPlan, T: int, initial: StateVector) -> RunReport:
 
     t0 = time.perf_counter()
     # a copy this call owns, so every stage can work in place
-    state = StateVector(n, np.array(initial.amp, dtype=complex).reshape(-1),
-                        initial.magnitude)
+    state = StateVector(n, np.array(initial.amp, dtype=complex).reshape(-1))
     low = state.amp[: 2 ** (n - 1)]  # the ancilla-|0> half when the ancilla is on top
     success = 1.0
     for _ in range(T):
@@ -167,7 +168,7 @@ def simulate(plan: SplitStepPlan, T: int, initial: StateVector) -> RunReport:
                 p, state = postselect(state, anc, 0, out=state.amp)
                 success *= p
             elif circuit.n_qubits < n:
-                apply_circuit(StateVector(n - 1, low, state.magnitude), circuit, out=low)
+                apply_circuit(StateVector(n - 1, low), circuit, out=low)
             else:
                 state = apply_circuit(state, circuit, out=state.amp)
     wall = time.perf_counter() - t0

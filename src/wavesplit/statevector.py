@@ -1,11 +1,10 @@
-"""Dense little-endian statevector with postselection bookkeeping.
+"""Dense little-endian statevector with postselection.
 
 Qubit r addresses bit r of the basis-state integer, so index
 j = sum_r 2**r q_r and qubit 0 is the least significant bit.  Working
-amplitudes stay unit norm; ``magnitude`` accumulates the square root of
-every postselection probability, so magnitude**2 is the cumulative
-success probability of the trajectory and also the squared norm of the
-unnormalized evolution of a unit initial state.
+amplitudes stay unit norm: ``postselect`` renormalizes and returns the
+outcome probability, and the caller keeps the running product of those
+probabilities (``splitting.simulate`` reports it as ``success_prob``).
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ class Gate2x2:
 class StateVector:
     n_qubits: int
     amp: np.ndarray = field(repr=False)
-    magnitude: float = 1.0
 
     @classmethod
     def basis(cls, n_qubits: int, index: int = 0) -> "StateVector":
@@ -72,7 +70,7 @@ class StateVector:
         return cls(n_qubits, amp)
 
     @classmethod
-    def from_amplitudes(cls, amps, magnitude: float = 1.0) -> "StateVector":
+    def from_amplitudes(cls, amps) -> "StateVector":
         """Build from arbitrary amplitudes, normalizing to unit norm."""
         amp = np.asarray(amps, dtype=complex).reshape(-1)
         n = int(amp.size).bit_length() - 1
@@ -81,7 +79,7 @@ class StateVector:
         nrm = float(np.linalg.norm(amp))
         if nrm == 0.0:
             raise ValueError("cannot normalize a zero state")
-        return cls(n, amp / nrm, magnitude)
+        return cls(n, amp / nrm)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amp))
@@ -142,7 +140,7 @@ def _apply_2x2(state: StateVector, gate: Gate2x2, target: int, control: int | No
         np.copyto(dst, state.amp)
     shape, ctl1, axes = _pair_plan(state.n_qubits, target, control)
     pair = dst.reshape(shape)[ctl1].transpose(axes)
-    result = StateVector(state.n_qubits, dst, state.magnitude)
+    result = StateVector(state.n_qubits, dst)
     kind, diag, cross = gate._entries
     if kind == "diag":
         for k, half in zip(diag.flat, pair):
@@ -200,14 +198,13 @@ def postselect(state: StateVector, qubit: int, outcome: int,
                out: np.ndarray | None = None) -> tuple[float, StateVector]:
     """Project onto ``qubit == outcome`` and renormalize.
 
-    Returns the outcome probability p and the projected state; the new
-    state's magnitude is the old one scaled by sqrt(p).  ``out`` works
-    as in ``apply_1q``; nothing is written when the outcome is degenerate.
+    Returns the outcome probability p and the projected unit state; the
+    unnormalized projection is sqrt(p) times it.  ``out`` works as in
+    ``apply_1q``; nothing is written when the outcome is degenerate.
     """
     _check_qubit(state, qubit, "measured")
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-    n = state.n_qubits
     # (high qubits, measured qubit, low qubits): the kept half is 2-d
     kept = state.amp.reshape(-1, 2, 2**qubit)[:, outcome]
     re, im = kept.real, kept.imag
@@ -220,5 +217,5 @@ def postselect(state: StateVector, qubit: int, outcome: int,
     phi = dst.reshape(-1, 2, 2**qubit)
     np.divide(kept, math.sqrt(p), out=phi[:, outcome])
     phi[:, 1 - outcome] = 0
-    return p, StateVector(n, dst, state.magnitude * math.sqrt(p))
+    return p, StateVector(state.n_qubits, dst)
 

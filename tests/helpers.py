@@ -10,13 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def dft_matrix(n_qubits: int) -> np.ndarray:
-    """Unitary DFT with the +i sign convention, F[j,k] = e^{2pi i jk/N}/sqrt(N)."""
-    size = 2 ** n_qubits
-    j = np.arange(size)
-    return np.exp(2j * np.pi * np.outer(j, j) / size) / np.sqrt(size)
-
-
 def _gate_2x2(kind: str, angle) -> np.ndarray:
     if kind in ("RY", "CRY"):
         c, s = np.cos(angle / 2), np.sin(angle / 2)
@@ -42,9 +35,9 @@ def embed_2x2(gate, n_qubits: int, target: int, control=None) -> np.ndarray:
     """Full 2^n matrix of a 2x2 ``gate`` on ``target``, active where
     ``control`` is 1, built by enumerating basis states.
 
-    Deliberately a different algorithm from the library's kron-chain
-    embedding and strided kernel: walk every input basis index, flip or
-    weight the target bit by hand, and scatter the 2x2 entries.
+    Deliberately a different algorithm from the library's strided
+    kernel: walk every input basis index, flip or weight the target bit
+    by hand, and scatter the 2x2 entries.
     """
     size = 2 ** n_qubits
     mat = np.zeros((size, size), dtype=complex)
@@ -91,10 +84,12 @@ def split_step_matrices(scheme, sys, dt: float):
         for m in range(n_total):
             mats[m] = g @ mats[m]
 
+    omegas = sys.omegas()
+
     def wave(b):
         for m in range(n_total):
             for j in mode_axis_indices(m, sys.n_modes, sys.d):
-                th = sys.omega(j) * b * dt
+                th = omegas[j] * b * dt
                 r = np.array([[np.cos(th), np.sin(th)],
                               [-np.sin(th), np.cos(th)]], dtype=complex)
                 mats[m] = r @ mats[m]

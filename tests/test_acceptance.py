@@ -11,25 +11,21 @@ import time
 import numpy as np
 import pytest
 
-from wavesplit.circuits import (
-    ModeSystem,
-    RegisterLayout,
-    apply_circuit,
-    circuit_to_matrix,
-    damping_phase_gate,
-    damping_real_circuit,
-    qft_circuit,
-    wave_evolution_circuit,
-)
+from wavesplit.circuits import ModeSystem
 from wavesplit.harness import (
     DEFAULT_SWEEP_STEPS,
     DEFAULT_SWEEP_T_FINAL,
     REFERENCE_RUN,
     REFERENCE_T_FINAL,
+    analytic_norm_ratio,
     convergence_sweep,
+    dissipative_stage_error,
+    fit_order,
     gate_report,
     gaussian_profile,
+    qft_error,
     run_case,
+    wave_block_error,
 )
 from wavesplit.reference import (
     decode_state,
@@ -39,9 +35,8 @@ from wavesplit.reference import (
 )
 from wavesplit.schemes import builtin_schemes, get_scheme, validate_scheme
 from wavesplit.splitting import generic_split_matrix
-from wavesplit.statevector import StateVector, postselect
 
-from helpers import dft_matrix, random_hermitian, random_neg_semidefinite
+from helpers import random_hermitian, random_neg_semidefinite, split_evolve_pairs
 
 
 def _report(num: int, name: str, checks: list[tuple[str, bool]]) -> None:
@@ -88,19 +83,8 @@ def test_c1_scheme_integrity():
 def test_c2_wave_circuit_exactness():
     rng = np.random.default_rng(2024)
     checks = []
-    worst = 0.0
-    for n in range(2, 7):
-        sys_n = ModeSystem(n=n)
-        size = 2 ** n
-        for tau in rng.uniform(-4.0, 4.0, size=10):
-            mat = circuit_to_matrix(wave_evolution_circuit(sys_n, float(tau)))
-            block = np.zeros((2 * size, 2 * size), dtype=complex)
-            for j in range(size):
-                th = sys_n.omega(j) * float(tau) / sys_n.zeta
-                block[j, j] = block[j + size, j + size] = np.cos(th)
-                block[j, j + size] = np.sin(th)
-                block[j + size, j] = -np.sin(th)
-            worst = max(worst, float(np.max(np.abs(mat - np.kron(np.eye(2), block)))))
+    worst = max(wave_block_error(ModeSystem(n=n), float(tau))
+                for n in range(2, 7) for tau in rng.uniform(-4.0, 4.0, size=10))
     checks.append((f"dense wave blocks, worst {worst:.2e}", worst < 1e-12))
 
     sys5 = ModeSystem(n=5, gamma=0.0)
@@ -158,19 +142,24 @@ def test_c5_reference_run_error(reference_run_report):
 def test_c6_success_probability_conservation(reference_run_report):
     sys7, pairs, ref = reference_run_report
     checks = []
+
+    def split_norm_gap(scheme, sys, rep, pairs) -> float:
+        # squared norm of the per-mode split oracle's unnormalized evolution
+        split = split_evolve_pairs(scheme, sys, rep.dt, rep.T, pairs)
+        return abs(rep.success_prob - float(np.linalg.norm(split)) ** 2)
+
     for name in ("lie", "strang", "castella4", "bernier6"):
         sys3 = ModeSystem(n=3, gamma=0.7)
         phi, dphi = gaussian_profile(sys3, width=40.0)
         rep = run_case(get_scheme(name), sys3, 0.6, 3, phi, dphi)
-        gap = abs(rep.success_prob - rep.state.magnitude ** 2)
-        checks.append((f"{name} |prob product - magnitude^2| {gap:.1e}", gap <= 1e-10))
-    from wavesplit.harness import analytic_norm_ratio
+        gap = split_norm_gap(get_scheme(name), sys3, rep, spectral_pairs(phi, dphi))
+        checks.append((f"{name} |success_prob - split norm^2| {gap:.1e}", gap <= 1e-10))
     ratio = analytic_norm_ratio(sys7, pairs, REFERENCE_T_FINAL)
     gap = abs(ref.success_prob - ratio)
     checks.append((f"reference run success {ref.success_prob:.6f} within 0.01 "
                    f"of analytic ratio {ratio:.6f}", gap <= 0.01))
-    checks.append((f"reference run magnitude identity",
-                   abs(ref.success_prob - ref.state.magnitude ** 2) <= 1e-10))
+    gap = split_norm_gap(get_scheme(REFERENCE_RUN["scheme"]), sys7, ref, pairs)
+    checks.append((f"reference run |success_prob - split norm^2| {gap:.1e}", gap <= 1e-10))
     _report(6, "success probability conservation", checks)
 
 
@@ -183,7 +172,6 @@ GENERIC_T_LISTS = {
 
 
 def test_c7_generic_generator_splitting():
-    from wavesplit.harness import fit_order
     t0 = time.perf_counter()
     checks = []
     for scheme in builtin_schemes():
@@ -208,25 +196,12 @@ def test_c7_generic_generator_splitting():
 
 def test_c8_complex_stage_factorization():
     rng = np.random.default_rng(88)
-    layout = RegisterLayout.standard(n=1, d=1)
     checks = []
     worst = 0.0
     for _ in range(20):
         gdt = float(rng.uniform(0.01, 2.0))
         a = complex(rng.uniform(0.02, 0.3), rng.uniform(-0.3, 0.3))
-        real_circ = damping_real_circuit(gdt * a.real, layout)
-        phase_circ = damping_phase_gate(gdt * a.imag, layout)
-        cols = []
-        for k in range(4):
-            state = StateVector.basis(3, index=k)  # ancilla |0>
-            state = apply_circuit(state, real_circ)
-            state = apply_circuit(state, phase_circ)
-            _, state = postselect(state, layout.ancilla, 0)
-            cols.append(state.magnitude * state.amp.reshape(-1)[:4])
-        realized = np.column_stack(cols)
-        decay = np.exp(-gdt * a)
-        expected = np.diag([1.0, 1.0, decay, decay])
-        worst = max(worst, float(np.max(np.abs(realized - expected))))
+        worst = max(worst, dissipative_stage_error(gdt, a))
     checks.append((f"20 random (gamma dt, a) pairs, worst {worst:.2e}",
                    worst < 1e-13))
     _report(8, "complex stage factorization", checks)
@@ -234,10 +209,7 @@ def test_c8_complex_stage_factorization():
 
 def test_c9_qft_and_encoding():
     checks = []
-    worst = 0.0
-    for n in range(1, 7):
-        mat = circuit_to_matrix(qft_circuit(n))
-        worst = max(worst, float(np.max(np.abs(mat - dft_matrix(n)))))
+    worst = max(qft_error(n) for n in range(1, 7))
     checks.append((f"qft vs dft n<=6, worst {worst:.2e}", worst < 1e-12))
 
     rng = np.random.default_rng(99)

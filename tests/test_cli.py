@@ -123,6 +123,22 @@ def test_non_finite_profile_exit_code(capsys):
     assert "finite" in captured.err and "epsilon=nan" not in captured.out
 
 
+def test_non_finite_damping_or_time_exit_code(capsys):
+    # each is named by its own check, not by the dissipative stage it reaches
+    base = ["simulate", "--scheme", "lie", "--n", "3"]
+    damping = "damping rate must be finite and nonnegative"
+    step = "step size must be positive and finite"
+    for extra, message in [(["--gamma-ratio", "nan"], damping),
+                           (["--gamma-ratio", "inf"], damping),
+                           (["--t-final", "inf"], step),
+                           (["--t-final", "nan"], step)]:
+        assert run(base + extra) == 1
+        assert message in capsys.readouterr().err
+    assert run(["sweep", "--scheme", "strang", "--n", "3", "--t-final", "inf",
+                "--steps-list", "4,6,8"]) == 1
+    assert step in capsys.readouterr().err
+
+
 def test_runtime_error_exit_code(capsys):
     # negative damping ratio fails domain validation, not argument parsing
     assert run(["simulate", "--scheme", "lie", "--n", "3",

@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wavesplit.circuits import ModeSystem
+from wavesplit import circuits, harness
+from wavesplit.circuits import Circuit, ModeSystem
 from wavesplit.harness import (
     CSV_HEADER,
     DEFAULT_SWEEP_STEPS,
@@ -29,6 +30,8 @@ from wavesplit.harness import (
 from wavesplit.reference import exact_solution, spectral_pairs
 from wavesplit.schemes import get_scheme
 from wavesplit.statevector import StateVector
+
+from helpers import split_evolve_pairs
 
 rng = np.random.default_rng(41)
 
@@ -79,7 +82,9 @@ def test_run_case_fields():
     assert report.dt == pytest.approx(0.05)
     assert report.epsilon is not None and report.epsilon > 0
     assert report.cnot_total == 8 * formula_cnots(get_scheme("strang"), 4, 1)
-    assert abs(report.success_prob - report.state.magnitude ** 2) < 1e-10
+    pairs = spectral_pairs(*gaussian_profile(sys4))
+    expected = split_evolve_pairs(get_scheme("strang"), sys4, report.dt, 8, pairs)
+    assert abs(report.success_prob - np.linalg.norm(expected) ** 2) < 1e-10
 
 
 def test_state_error_matches_padded_reference():
@@ -186,13 +191,62 @@ def test_scrub_timing_copies():
     assert scrubbed.epsilon == report.epsilon
 
 
+# (row name, last word of its detail): the check's tolerance, or "ok"
+SELFTEST_CONTRACT = [
+    ("wave_circuit_blocks", "tol=1.0e-12"),
+    ("qft_matrix", "tol=1.0e-12"),
+    ("damping_contraction", "tol=1.0e-13"),
+    ("damping_phase", "tol=1.0e-13"),
+    ("mode_propagator", "tol=1.0e-12"),
+    ("hermitian_split", "tol=1.0e-14"),
+    ("complex_stage_factorization", "tol=1.0e-13"),
+    ("commuting_split_lie", "tol=1.0e-12"),
+    ("commuting_split_strang", "tol=1.0e-12"),
+    ("commuting_split_castella4", "tol=1.0e-12"),
+    ("commuting_split_bernier6", "tol=1.0e-12"),
+    ("undamped_exactness", "tol=1.0e-11"),
+    ("scheme_lie", "ok"),
+    ("scheme_strang", "ok"),
+    ("scheme_castella4", "ok"),
+    ("scheme_bernier6", "ok"),
+]
+
+
 def test_selftest_all_green():
     rows = selftest()
-    assert len(rows) >= 12
+    assert [(name, detail.split()[-1]) for name, _, detail in rows] == SELFTEST_CONTRACT
     assert all(passed for _, passed, _ in rows), [r for r in rows if not r[1]]
 
 
 def test_selftest_deterministic_given_seed():
     a = selftest(seed=3)
-    b = selftest(seed=3)
-    assert [(n, p) for n, p, _ in a] == [(n, p) for n, p, _ in b]
+    assert [(name, detail.split()[-1]) for name, _, detail in a] == SELFTEST_CONTRACT
+    assert a == selftest(seed=3)
+
+
+def _failed_rows(monkeypatch, builder: str, broken) -> set[str]:
+    monkeypatch.setattr(harness, builder, broken)
+    return {name for name, passed, _ in selftest() if not passed}
+
+
+def test_stage_check_catches_a_flipped_phase(monkeypatch):
+    failed = _failed_rows(monkeypatch, "damping_phase_gate",
+                          lambda x, layout: circuits.damping_phase_gate(-x, layout))
+    assert "complex_stage_factorization" in failed
+    assert harness.dissipative_stage_error(0.5, 0.1 + 0.2j) > 1e-3
+
+
+def test_wave_check_catches_a_stretched_time(monkeypatch):
+    failed = _failed_rows(monkeypatch, "wave_evolution_circuit",
+                          lambda sys, tau: circuits.wave_evolution_circuit(sys, 1.01 * tau))
+    assert "wave_circuit_blocks" in failed
+    assert harness.wave_block_error(ModeSystem(n=3), 0.9) > 1e-3
+
+
+def test_qft_check_catches_a_missing_swap(monkeypatch):
+    def no_last_swap(n):
+        ops = circuits.qft_circuit(n).ops
+        return Circuit(n, ops[:-3] if n > 1 else ops)  # a swap is three CNOTs
+    failed = _failed_rows(monkeypatch, "qft_circuit", no_last_swap)
+    assert "qft_matrix" in failed
+    assert harness.qft_error(3) > 0.1

@@ -161,7 +161,6 @@ def test_encode_initial_layout():
     phi = rng.standard_normal(16)
     state = encode_initial(phi, np.zeros(16))
     assert state.n_qubits == 4 + 2
-    assert state.magnitude == 1.0
     flat = state.amp.reshape(-1)
     assert np.max(np.abs(flat[32:])) == 0.0  # ancilla |0>
     assert np.linalg.norm(flat) == pytest.approx(1.0, abs=1e-14)
@@ -231,7 +230,7 @@ def test_exact_solution_matches_per_mode_propagator():
     full, _ = exact_solution(sys3, pairs, t)
     start = pairs.concat()
     for j in range(8):
-        prop = mode_propagator(sys3.omega(j), sys3.gamma, t)
+        prop = mode_propagator(sys3.omegas()[j], sys3.gamma, t)
         out = prop @ np.array([start[j], start[j + 8]])
         assert abs(full[j] - out[0]) < 1e-13
         assert abs(full[j + 8] - out[1]) < 1e-13

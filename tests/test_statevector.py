@@ -27,16 +27,14 @@ def random_state(n: int) -> StateVector:
 def test_basis_state():
     s = StateVector.basis(3, index=5)
     assert s.n_qubits == 3
-    assert s.magnitude == 1.0
     flat = s.amp.reshape(-1)
     assert flat[5] == 1.0
     assert np.count_nonzero(flat) == 1
 
 
 def test_from_amplitudes_normalizes():
-    s = StateVector.from_amplitudes(np.array([3.0, 4.0]), magnitude=2.0)
+    s = StateVector.from_amplitudes(np.array([3.0, 4.0]))
     assert abs(s.norm() - 1.0) < 1e-15
-    assert s.magnitude == 2.0
 
 
 def test_from_amplitudes_rejects_bad_input():
@@ -240,13 +238,12 @@ def test_kernel_rounding_order(n):
 
 @pytest.mark.parametrize("qubit,outcome", [(0, 0), (2, 1), (4, 0), (4, 1)])
 def test_postselect_in_place_matches_fresh(qubit, outcome):
-    s = StateVector(5, random_state(5).amp, magnitude=0.5)
+    s = random_state(5)
     p, fresh = postselect(s, qubit, outcome)
     p_in, in_place = postselect(s, qubit, outcome, out=s.amp)
     assert p_in == p
     assert in_place.amp is s.amp
     assert np.array_equal(s.amp, fresh.amp)
-    assert in_place.magnitude == fresh.magnitude == 0.5 * np.sqrt(p)
 
 
 def test_out_and_work_must_fit_and_not_overlap():
@@ -282,19 +279,11 @@ def test_postselect_probability_and_renormalization():
     p, kept = postselect(s, qubit=1, outcome=0)
     assert abs(p - 0.64) < 1e-15
     assert abs(kept.norm() - 1.0) < 1e-15
-    assert abs(kept.magnitude - np.sqrt(0.64)) < 1e-15
     assert abs(kept.amp.reshape(-1)[0] - 1.0) < 1e-15
 
     p1, kept1 = postselect(s, qubit=1, outcome=1)
     assert abs(p1 - 0.36) < 1e-15
     assert abs(kept1.amp.reshape(-1)[2] - 1.0) < 1e-15
-
-
-def test_postselect_magnitudes_compound():
-    s = StateVector.from_amplitudes(np.full(8, 1.0))
-    p0, s = postselect(s, 0, 0)
-    p1, s = postselect(s, 1, 0)
-    assert abs(s.magnitude ** 2 - p0 * p1) < 1e-15
 
 
 def test_postselect_degenerate_branch():
