@@ -257,26 +257,21 @@ def _op_gate(op: GateOp) -> Gate2x2:
     return Gate2x2.x()
 
 
-def apply_circuit(state: StateVector, circuit: Circuit,
-                  out: np.ndarray | None = None) -> StateVector:
-    """Apply every op in order; ``out`` is as in ``apply_1q``.
+def apply_circuit(state: StateVector, circuit: Circuit) -> None:
+    """Apply every op in order to ``state`` in place.
 
-    The first op writes ``out``, or a fresh array when it is None, and
-    the later ops update that array in place, so the input is copied at
-    most once.  The gates share one scratch array for the call, sized
-    for the largest need: 2**(n+1) amplitudes for an uncontrolled RY,
-    2**n otherwise.  An empty circuit returns ``state`` itself.
+    The gates share one scratch array for the call, sized for the
+    largest need: 2**(n+1) amplitudes for an uncontrolled RY, 2**n
+    otherwise.
     """
     if state.n_qubits != circuit.n_qubits:
         raise ValueError("state and circuit disagree on qubit count")
     work = np.empty(circuit._scratch_size, dtype=complex)
     for op, gate in zip(circuit.ops, circuit.gates):
         if op.control is None:
-            state = apply_1q(state, gate, op.target, out, work=work)
+            apply_1q(state, gate, op.target, work=work)
         else:
-            state = apply_controlled(state, gate, op.control, op.target, out, work=work)
-        out = state.amp
-    return state
+            apply_controlled(state, gate, op.control, op.target, work=work)
 
 
 def circuit_to_matrix(circuit: Circuit) -> np.ndarray:
@@ -292,9 +287,9 @@ def circuit_to_matrix(circuit: Circuit) -> np.ndarray:
     lifted = Circuit(2 * n, tuple(
         GateOp(op.kind, op.target + n, None if op.control is None else op.control + n,
                op.angle) for op in circuit.ops))
-    u = np.eye(2**n, dtype=complex).reshape(-1)
-    apply_circuit(StateVector(2 * n, u), lifted, out=u)
-    return u.reshape(2**n, 2**n)
+    u = StateVector(2 * n, np.eye(2**n, dtype=complex).reshape(-1))
+    apply_circuit(u, lifted)
+    return u.amp.reshape(2**n, 2**n)
 
 
 def cnot_count(circuit: Circuit) -> int:

@@ -78,8 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Largest statevector simulate/sweep will build: a run peaks near five
-# state-sized arrays of 16 * 2**qubits bytes, about 5 GiB at 26 qubits.
+# Largest statevector simulate/sweep will build: a run peaks near four
+# state-sized arrays of 16 * 2**qubits bytes (3.9 under tracemalloc at
+# 18 qubits), about 4 GiB at 26 qubits.
 MAX_QUBITS = 26
 
 
@@ -95,6 +96,9 @@ def _check_ranges(args) -> str | None:
     steps = getattr(args, "steps", None)
     if steps is not None and steps < 1:
         return "--steps must be at least 1"
+    # nan and +inf reach ModeSystem's own check, which exits 1
+    if getattr(args, "gamma_ratio", 0.0) < 0:
+        return "--gamma-ratio must be nonnegative"
     return None
 
 

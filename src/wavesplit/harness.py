@@ -95,9 +95,8 @@ def run_case(scheme: SplittingScheme, sys: ModeSystem, t_final: float,
     elif dphi is None:
         dphi = np.zeros_like(np.asarray(phi))
     pairs = spectral_pairs(phi, dphi)
-    state0 = encode_initial(phi, dphi)
     plan = build_step(scheme, sys, t_final / steps)
-    report = simulate(plan, steps, state0)
+    report = simulate(plan, steps, encode_initial(phi, dphi))
     _, exact_unit = exact_solution(sys, pairs, t_final)
     report.epsilon = state_error(report.state, exact_unit)
     return report
@@ -226,6 +225,30 @@ def wave_block_error(sys: ModeSystem, tau: float) -> float:
     return float(np.max(np.abs(mat - np.kron(np.eye(2), block))))
 
 
+def damping_contraction_error(g_dt: float, amp: np.ndarray) -> float:
+    """Distance between ``damping_real_circuit(g_dt)`` with the ancilla
+    postselected on |0> and diag(1, e^{-g_dt}) on the selector, for the
+    state ``amp`` with its ancilla-|1> half zeroed, normalized."""
+    half = amp.size // 2  # the ancilla is the top qubit
+    state = StateVector.from_amplitudes(np.concatenate([amp[:half], np.zeros(half)]))
+    want = state.amp.reshape(2, 2, -1).copy()  # (ancilla, selector, data)
+    want[0, 1] *= math.exp(-g_dt)
+    layout = RegisterLayout.standard(state.n_qubits - 2)
+    apply_circuit(state, damping_real_circuit(g_dt, layout))
+    p = postselect(state, layout.ancilla, 0)
+    return float(np.linalg.norm(state.amp * math.sqrt(p) - want.reshape(-1)))
+
+
+def damping_phase_error(x: float, amp: np.ndarray) -> float:
+    """Distance between ``damping_phase_gate(x)`` and diag(1, e^{-i x}) on
+    the selector, for the state ``amp`` normalized."""
+    state = StateVector.from_amplitudes(amp)
+    want = state.amp.reshape(2, 2, -1).copy()  # (ancilla, selector, data)
+    want[:, 1] *= np.exp(-1j * x)
+    apply_circuit(state, damping_phase_gate(x, RegisterLayout.standard(state.n_qubits - 2)))
+    return float(np.linalg.norm(state.amp - want.reshape(-1)))
+
+
 def dissipative_stage_error(g_dt: float, a: complex) -> float:
     """Largest entry gap between one dissipative stage of coefficient a
     (damp_real, damp_phase, ancilla postselected on |0>) and
@@ -235,8 +258,10 @@ def dissipative_stage_error(g_dt: float, a: complex) -> float:
     phase = damping_phase_gate(g_dt * a.imag, layout)
     cols = []
     for k in range(4):
-        state = apply_circuit(apply_circuit(StateVector.basis(layout.n_qubits, k), real), phase)
-        p, state = postselect(state, layout.ancilla, 0)
+        state = StateVector.basis(layout.n_qubits, k)
+        apply_circuit(state, real)
+        apply_circuit(state, phase)
+        p = postselect(state, layout.ancilla, 0)
         cols.append(math.sqrt(p) * state.amp[:4])
     decay = np.exp(-g_dt * a)
     return float(np.max(np.abs(np.column_stack(cols) - np.diag([1, 1, decay, decay]))))
@@ -255,35 +280,14 @@ def selftest(seed: int = 0) -> list[tuple[str, bool, str]]:
                                      for tau in rng.uniform(-3.0, 3.0, size=3)), 1e-12)
     check("qft_matrix", max(qft_error(n) for n in (1, 2, 3, 4)), 1e-12)
 
-    # dissipative contraction against diag(1, exp(-g)) on the selector
-    sys = ModeSystem(n=2, gamma=0.7)
-    layout = sys.layout()
-    worst = 0.0
-    for g in (0.0, 0.05, 0.31):
-        vec = rng.normal(size=2**sys.n_qubits) + 1j * rng.normal(size=2**sys.n_qubits)
-        vec = vec.reshape((2,) * sys.n_qubits)
-        vec[1] = 0  # ancilla (top axis) starts in |0>
-        vec = vec.reshape(-1)
-        vec /= np.linalg.norm(vec)
-        state = StateVector(sys.n_qubits, vec.copy())
-        state = apply_circuit(state, damping_real_circuit(g, layout))
-        p, state = postselect(state, layout.ancilla, 0)
-        want = vec.copy().reshape((2, 2, 2, 2))
-        want[0, 1] *= math.exp(-g)  # (anc, sel, d1, d0)
-        want = want.reshape(-1)
-        err = float(np.linalg.norm(state.amp * math.sqrt(p) - want))
-        worst = max(worst, err)
-    check("damping_contraction", worst, 1e-13)
-
-    # phase stage against diag(1, exp(-i x)) on the selector
-    state = StateVector.from_amplitudes(rng.normal(size=2**sys.n_qubits)
-                                        + 1j * rng.normal(size=2**sys.n_qubits))
-    x = 0.42
-    out = apply_circuit(state, damping_phase_gate(x, layout))
-    want = state.amp.reshape((2, 2, 4)).copy()
-    want[:, 1, :] *= np.exp(-1j * x)
-    err = float(np.linalg.norm(out.amp - want.reshape(-1)))
-    check("damping_phase", err, 1e-13)
+    # dissipative contraction and phase stage on n=2, each against a
+    # diagonal on the selector
+    size = 16  # n=2: two data qubits, the selector and the ancilla
+    check("damping_contraction", max(
+        damping_contraction_error(g, rng.normal(size=size) + 1j * rng.normal(size=size))
+        for g in (0.0, 0.05, 0.31)), 1e-13)
+    check("damping_phase", damping_phase_error(
+        0.42, rng.normal(size=size) + 1j * rng.normal(size=size)), 1e-13)
 
     # closed-form mode propagator against the series exponential
     worst = 0.0

@@ -28,7 +28,7 @@ from .circuits import (Circuit, ModeSystem, RegisterLayout, apply_circuit,
                        wave_evolution_circuit)
 from .reference import dense_expm
 from .schemes import SplittingScheme
-from .statevector import StateVector, postselect
+from .statevector import StateVector, _outcome_prob, postselect
 
 _IM_OMIT_TOL = 1e-15
 _HERM_TOL = 1e-12
@@ -97,9 +97,10 @@ class SplitStepPlan:
 
 @dataclass
 class RunReport:
-    """Summary of one emulated trajectory.  ``state`` is unit norm and
-    ``success_prob`` the product of the postselection probabilities, so
-    sqrt(success_prob) * state.amp is the unnormalized final state."""
+    """Summary of one emulated trajectory.  ``state`` is the state
+    ``simulate`` evolved, at unit norm, and ``success_prob`` the product
+    of the postselection probabilities, so sqrt(success_prob) * state.amp
+    is the unnormalized final state."""
 
     scheme: str
     n: int
@@ -122,6 +123,11 @@ def build_step(scheme: SplittingScheme, sys: ModeSystem, dt: float) -> SplitStep
     a, b = scheme.a, scheme.b
     if not (len(a) == len(b) + 1 or len(a) == len(b) == 1):
         raise ValueError(f"scheme {scheme.name!r} has unsupported stage counts")
+    # the largest dissipative argument and wave angle the circuits will take
+    if not np.isfinite(sys.gamma * max(abs(complex(ai)) for ai in a) * dt):
+        raise ValueError(f"damping rate {sys.gamma:g} times step size {dt:g} overflows")
+    if not np.isfinite(sys.zeta * max(abs(bi) for bi in b) * dt * 2.0**sys.n):
+        raise ValueError(f"step size {dt:g} overflows the wave-stage angles")
     layout = sys.layout()
     stages: list[Stage] = []
 
@@ -142,35 +148,32 @@ def build_step(scheme: SplittingScheme, sys: ModeSystem, dt: float) -> SplitStep
     return SplitStepPlan(scheme, sys, dt, tuple(stages), layout)
 
 
-def simulate(plan: SplitStepPlan, T: int, initial: StateVector) -> RunReport:
-    """Run T splitting steps, postselecting the ancilla after each
-    dissipative stage.  ``epsilon`` is left unset; comparison against a
+def simulate(plan: SplitStepPlan, T: int, state: StateVector) -> RunReport:
+    """Run T splitting steps on ``state`` in place, postselecting the
+    ancilla after each dissipative stage.  The report's ``state`` is
+    ``state`` itself, so a caller that needs the input afterwards passes
+    a copy.  A ``DegeneratePostselectionError`` mid-run leaves ``state``
+    partially evolved.  ``epsilon`` is left unset; comparison against a
     reference is the harness's job.
     """
     if T < 1:
         raise ValueError("need at least one step")
-    if initial.n_qubits != plan.n_qubits:
+    if state.n_qubits != plan.n_qubits:
         raise ValueError("initial state size does not match the plan")
     anc, n = plan.layout.ancilla, plan.n_qubits
-    tail = initial.amp.reshape(-1, 2, 2**anc)[:, 1]
-    re, im = tail.real, tail.imag
-    if float(np.einsum("ij,ij->", re, re) + np.einsum("ij,ij->", im, im)) > 1e-12:
+    if _outcome_prob(state, anc, 1) > 1e-12:
         raise ValueError("ancilla must start in |0>")
 
     t0 = time.perf_counter()
-    # a copy this call owns, so every stage can work in place
-    state = StateVector(n, np.array(initial.amp, dtype=complex).reshape(-1))
-    low = state.amp[: 2 ** (n - 1)]  # the ancilla-|0> half when the ancilla is on top
+    # the ancilla-|0> half when the ancilla is on top
+    low = StateVector(n - 1, state.amp[: 2 ** (n - 1)])
     success = 1.0
     for _ in range(T):
         for circuit in plan._schedule:
             if circuit is None:
-                p, state = postselect(state, anc, 0, out=state.amp)
-                success *= p
-            elif circuit.n_qubits < n:
-                apply_circuit(StateVector(n - 1, low), circuit, out=low)
+                success *= postselect(state, anc, 0)
             else:
-                state = apply_circuit(state, circuit, out=state.amp)
+                apply_circuit(low if circuit.n_qubits < n else state, circuit)
     wall = time.perf_counter() - t0
     per_step = plan.cnot_per_step
     return RunReport(

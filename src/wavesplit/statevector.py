@@ -1,9 +1,11 @@
 """Dense little-endian statevector with postselection.
 
 Qubit r addresses bit r of the basis-state integer, so index
-j = sum_r 2**r q_r and qubit 0 is the least significant bit.  Working
-amplitudes stay unit norm: ``postselect`` renormalizes and returns the
-outcome probability, and the caller keeps the running product of those
+j = sum_r 2**r q_r and qubit 0 is the least significant bit.  Every
+function that evolves a state writes ``state.amp`` in place; a caller
+that needs the input afterwards copies it first.  Working amplitudes
+stay unit norm: ``postselect`` renormalizes and returns the outcome
+probability, and the caller keeps the running product of those
 probabilities (``splitting.simulate`` reports it as ``success_prob``).
 """
 
@@ -58,8 +60,19 @@ class Gate2x2:
 
 @dataclass
 class StateVector:
+    """``amp`` is the 1-d C-contiguous complex array of 2**n_qubits
+    amplitudes that gates update in place.  Any other array is rejected:
+    a reshape of it could be a copy, and a gate would update that copy."""
+
     n_qubits: int
     amp: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        a = self.amp
+        if not (isinstance(a, np.ndarray) and a.dtype == complex and a.ndim == 1
+                and a.size == 2**self.n_qubits and a.flags.c_contiguous):
+            raise ValueError(f"amp must be a 1-d C-contiguous complex array of "
+                             f"2**{self.n_qubits} amplitudes")
 
     @classmethod
     def basis(cls, n_qubits: int, index: int = 0) -> "StateVector":
@@ -90,29 +103,23 @@ def _check_qubit(state: StateVector, qubit: int, role: str) -> None:
         raise ValueError(f"{role} qubit {qubit} out of range for {state.n_qubits} qubits")
 
 
-def _output(state: StateVector, out: np.ndarray | None) -> np.ndarray:
-    """The array a gate writes: ``out``, or a fresh one when it is None."""
-    size = 2**state.n_qubits
-    if out is None:
-        return np.empty(size, dtype=complex)
-    if (out.dtype != complex or out.size != size or not out.flags.c_contiguous
-            or out is not state.amp and np.may_share_memory(out, state.amp)):
-        raise ValueError(f"out must be state.amp or a C-contiguous complex array of "
-                         f"{size} amplitudes that does not overlap it")
-    return out
-
-
-def _scratch(state: StateVector, dst: np.ndarray, work: np.ndarray | None,
-             size: int) -> np.ndarray:
+def _scratch(state: StateVector, work: np.ndarray | None, size: int) -> np.ndarray:
     """``size`` amplitudes of ``work``, or of a fresh array when it is None."""
     if work is None:
         return np.empty(size, dtype=complex)
     if (work.dtype != complex or work.size < size or not work.flags.c_contiguous
-            or np.may_share_memory(work, state.amp)
-            or dst is not state.amp and np.may_share_memory(work, dst)):
+            or np.may_share_memory(work, state.amp)):
         raise ValueError(f"work must be a C-contiguous complex array of at least {size} "
                          f"amplitudes that does not overlap the amplitudes")
     return work.reshape(-1)[:size]
+
+
+def _outcome_prob(state: StateVector, qubit: int, bit: int) -> float:
+    """Squared norm of the amplitudes where ``qubit`` reads ``bit``."""
+    # (high qubits, measured qubit, low qubits): the half is 2-d
+    half = state.amp.reshape(-1, 2, 2**qubit)[:, bit]
+    re, im = half.real, half.imag
+    return float(np.einsum("ij,ij->", re, re) + np.einsum("ij,ij->", im, im))
 
 
 @lru_cache(maxsize=None)  # keys are bounded by the qubit count
@@ -130,92 +137,74 @@ def _pair_plan(n: int, target: int, control: int | None) -> tuple:
 
 
 def _apply_2x2(state: StateVector, gate: Gate2x2, target: int, control: int | None,
-               out: np.ndarray | None, work: np.ndarray | None) -> StateVector:
-    """Apply ``gate`` to the pair view of ``_pair_plan``.  ``out`` may be
-    ``state.amp``; any other output gets a copy of the input first, so
-    the arithmetic, and numpy's rounding of it, is the same either way.
-    """
-    dst = _output(state, out)
-    if dst is not state.amp:
-        np.copyto(dst, state.amp)
+               work: np.ndarray | None) -> None:
+    """Apply ``gate`` in place to the pair view of ``_pair_plan``."""
     shape, ctl1, axes = _pair_plan(state.n_qubits, target, control)
-    pair = dst.reshape(shape)[ctl1].transpose(axes)
-    result = StateVector(state.n_qubits, dst)
+    pair = state.amp.reshape(shape)[ctl1].transpose(axes)
     kind, diag, cross = gate._entries
     if kind == "diag":
         for k, half in zip(diag.flat, pair):
             if k != 1:
                 half *= k
-        return result
+        return
     # A strided ufunc pays per run of contiguous amplitudes, and a low
     # control qubit makes the runs short; a copy pays far less per run.
     # So the pair is copied out once, combined contiguously, copied back.
     if kind == "anti":
-        ab = _scratch(state, dst, work, pair.size).reshape(pair.shape)
+        ab = _scratch(state, work, pair.size).reshape(pair.shape)
         np.copyto(ab, pair)
         np.multiply(ab[::-1], cross, out=pair)
-        return result
-    ab, uv = _scratch(state, dst, work, 2 * pair.size).reshape((2, *pair.shape))
+        return
+    ab, uv = _scratch(state, work, 2 * pair.size).reshape((2, *pair.shape))
     np.copyto(ab, pair)
     np.multiply(ab[::-1], cross, out=uv)  # (m01 b, m10 a)
     ab *= diag
     ab += uv
     np.copyto(pair, ab)
-    return result
 
 
-def apply_1q(state: StateVector, gate: Gate2x2, target: int,
-             out: np.ndarray | None = None, *,
-             work: np.ndarray | None = None) -> StateVector:
-    """Apply a single-qubit gate, returning a new state.
+def apply_1q(state: StateVector, gate: Gate2x2, target: int, *,
+             work: np.ndarray | None = None) -> None:
+    """Apply a single-qubit gate to ``state`` in place.
 
-    The amplitudes go to ``out`` when given, which may be ``state.amp``
-    itself; otherwise to a fresh array, leaving the input untouched.
     ``work`` is scratch space the gate may overwrite, so that a run of
     large gates need not allocate on every call.  A controlled gate needs
     at most 2**n amplitudes of it and a single-qubit gate 2**(n+1); a
     shorter ``work`` is an error, and without it the gate allocates its own.
     """
     _check_qubit(state, target, "target")
-    return _apply_2x2(state, gate, target, None, out, work)
+    _apply_2x2(state, gate, target, None, work)
 
 
-def apply_controlled(state: StateVector, gate: Gate2x2, control: int, target: int,
-                     out: np.ndarray | None = None, *,
-                     work: np.ndarray | None = None) -> StateVector:
-    """Apply ``gate`` to ``target`` on the control == 1 subspace.
+def apply_controlled(state: StateVector, gate: Gate2x2, control: int, target: int, *,
+                     work: np.ndarray | None = None) -> None:
+    """Apply ``gate`` to ``target`` on the control == 1 subspace, in place.
 
-    ``out`` and ``work`` are as in ``apply_1q``.
+    ``work`` is as in ``apply_1q``.
     """
     _check_qubit(state, control, "control")
     _check_qubit(state, target, "target")
     if control == target:
         raise ValueError("control and target must be distinct qubits")
-    return _apply_2x2(state, gate, target, control, out, work)
+    _apply_2x2(state, gate, target, control, work)
 
 
-def postselect(state: StateVector, qubit: int, outcome: int,
-               out: np.ndarray | None = None) -> tuple[float, StateVector]:
-    """Project onto ``qubit == outcome`` and renormalize.
+def postselect(state: StateVector, qubit: int, outcome: int) -> float:
+    """Project ``state`` onto ``qubit == outcome`` in place and renormalize.
 
-    Returns the outcome probability p and the projected unit state; the
-    unnormalized projection is sqrt(p) times it.  ``out`` works as in
-    ``apply_1q``; nothing is written when the outcome is degenerate.
+    Returns the outcome probability p; the unnormalized projection is
+    sqrt(p) times the new state.  Nothing is written when the outcome
+    is degenerate.
     """
     _check_qubit(state, qubit, "measured")
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-    # (high qubits, measured qubit, low qubits): the kept half is 2-d
-    kept = state.amp.reshape(-1, 2, 2**qubit)[:, outcome]
-    re, im = kept.real, kept.imag
-    p = float(np.einsum("ij,ij->", re, re) + np.einsum("ij,ij->", im, im))
+    p = _outcome_prob(state, qubit, outcome)
     if p < 1e-300:
         raise DegeneratePostselectionError(
             f"outcome {outcome} on qubit {qubit} has probability {p:.3e}")
     p = min(p, 1.0)
-    dst = _output(state, out)
-    phi = dst.reshape(-1, 2, 2**qubit)
-    np.divide(kept, math.sqrt(p), out=phi[:, outcome])
+    phi = state.amp.reshape(-1, 2, 2**qubit)
+    phi[:, outcome] /= math.sqrt(p)
     phi[:, 1 - outcome] = 0
-    return p, StateVector(state.n_qubits, dst)
-
+    return p

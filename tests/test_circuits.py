@@ -19,7 +19,8 @@ from wavesplit.circuits import (
     qft_circuit,
     wave_evolution_circuit,
 )
-from wavesplit.harness import qft_error, wave_block_error
+from wavesplit.harness import (damping_contraction_error, damping_phase_error, qft_error,
+                               wave_block_error)
 from wavesplit.statevector import StateVector
 
 from helpers import circuit_matrix
@@ -147,6 +148,11 @@ def test_damping_real_circuit_action():
     assert mat[0, 0] == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
         damping_real_circuit(-0.1, lay)
+    # the selftest check, after postselection, on a wider random state
+    draw = np.random.default_rng(5)
+    for g in (0.0, 0.05, 0.31, 2.0):
+        amp = draw.standard_normal(32) + 1j * draw.standard_normal(32)
+        assert damping_contraction_error(g, amp) < 1e-13
 
 
 def test_damping_phase_gate_action():
@@ -156,6 +162,11 @@ def test_damping_phase_gate_action():
     expected = np.diag([1, 1, np.exp(-0.4j), np.exp(-0.4j), 1, 1, np.exp(-0.4j), np.exp(-0.4j)])
     assert np.max(np.abs(mat - expected)) < 1e-15
     assert cnot_count(circ) == 0
+    # the selftest check, on a wider random state
+    draw = np.random.default_rng(6)
+    for x in (0.4, -1.7):
+        amp = draw.standard_normal(32) + 1j * draw.standard_normal(32)
+        assert damping_phase_error(x, amp) < 1e-13
 
 
 def test_apply_circuit_matches_matrix_path():
@@ -164,9 +175,9 @@ def test_apply_circuit_matches_matrix_path():
                             for _ in range(30)))
     amp = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
     state = StateVector.from_amplitudes(amp)
-    evolved = apply_circuit(state, circ)
-    expected = circuit_matrix(circ, n) @ state.amp.reshape(-1)
-    assert np.max(np.abs(evolved.amp.reshape(-1) - expected)) < 1e-13
+    expected = circuit_matrix(circ, n) @ state.amp
+    assert apply_circuit(state, circ) is None
+    assert np.max(np.abs(state.amp - expected)) < 1e-13
 
 
 def test_gate_matrices_built_once_on_first_application():
@@ -192,12 +203,12 @@ def test_apply_circuit_gates_share_one_scratch(monkeypatch, make):
     seen = []
     inner = statevector._scratch
 
-    def spy(state, dst, work, size):
+    def spy(state, work, size):
         seen.append(work)
-        return inner(state, dst, work, size)
+        return inner(state, work, size)
     monkeypatch.setattr(statevector, "_scratch", spy)
-    evolved = apply_circuit(state, circ)
-    assert np.max(np.abs(evolved.amp - expected)) < 1e-13
+    apply_circuit(state, circ)
+    assert np.max(np.abs(state.amp - expected)) < 1e-13
     assert seen and seen[0] is not None and all(w is seen[0] for w in seen)
 
 

@@ -140,10 +140,17 @@ def test_non_finite_damping_or_time_exit_code(capsys):
 
 
 def test_runtime_error_exit_code(capsys):
-    # negative damping ratio fails domain validation, not argument parsing
-    assert run(["simulate", "--scheme", "lie", "--n", "3",
-                "--gamma-ratio", "-0.5"]) == 1
-    assert "error:" in capsys.readouterr().err
+    # a negative damping ratio is bad input, named before anything runs
+    base = ["simulate", "--scheme", "lie", "--n", "3"]
+    for gamma in ("-0.5", "-inf"):
+        assert run(base + ["--gamma-ratio=" + gamma]) == 2
+        assert "--gamma-ratio must be nonnegative" in capsys.readouterr().err
+    # finite inputs whose products overflow fail when the step is built,
+    # named by the damping rate or the step size
+    assert run(base + ["--gamma-ratio", "1e308", "--t-final", "10"]) == 1
+    assert "error: damping rate" in capsys.readouterr().err
+    assert run(base + ["--t-final", "1e308"]) == 1
+    assert "error: step size" in capsys.readouterr().err
 
 
 def test_console_entry_point():

@@ -236,6 +236,15 @@ def test_stage_check_catches_a_flipped_phase(monkeypatch):
     assert harness.dissipative_stage_error(0.5, 0.1 + 0.2j) > 1e-3
 
 
+def test_damping_checks_catch_a_wrong_rate_or_sign(monkeypatch):
+    failed = _failed_rows(monkeypatch, "damping_real_circuit",
+                          lambda g, layout: circuits.damping_real_circuit(1.01 * g, layout))
+    assert {"damping_contraction", "complex_stage_factorization"} <= failed
+    failed = _failed_rows(monkeypatch, "damping_phase_gate",
+                          lambda x, layout: circuits.damping_phase_gate(-x, layout))
+    assert "damping_phase" in failed
+
+
 def test_wave_check_catches_a_stretched_time(monkeypatch):
     failed = _failed_rows(monkeypatch, "wave_evolution_circuit",
                           lambda sys, tau: circuits.wave_evolution_circuit(sys, 1.01 * tau))

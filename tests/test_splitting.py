@@ -105,6 +105,21 @@ def test_build_step_rejects_bad_dt():
             build_step(get_scheme("lie"), ModeSystem(n=2, gamma=0.5), dt)
 
 
+def test_build_step_names_an_overflowing_input(monkeypatch):
+    built = []
+    monkeypatch.setattr(splitting, "damping_real_circuit",
+                        lambda *args: built.append(args) or circuits.damping_real_circuit(*args))
+    # gamma*|a|*dt overflows; so does zeta*b*dt*2**n, while dt alone is finite
+    with pytest.raises(ValueError, match="damping rate"):
+        build_step(get_scheme("bernier6"), ModeSystem(n=3, gamma=1e308), 100.0)
+    with pytest.raises(ValueError, match="step size"):
+        build_step(get_scheme("bernier6"), ModeSystem(n=20, gamma=0.0), 1e304)
+    assert not built
+    # large arguments whose products stay finite still build
+    build_step(get_scheme("lie"), ModeSystem(n=3, gamma=1e307), 1.0)
+    build_step(get_scheme("lie"), ModeSystem(n=3), 1e300)
+
+
 def test_cnot_per_step_formula():
     for scheme in builtin_schemes():
         for n in (1, 4, 9):
@@ -213,16 +228,15 @@ def test_one_kernel_call_per_planned_gate(monkeypatch, n, d):
     sys_nd = ModeSystem(n=n, d=d, gamma=0.5)
     phi, dphi = random_fields(2**n, d)
     initial = encode_initial(phi, dphi)
-    before = initial.amp.copy()
     plan = build_step(get_scheme("bernier6"), sys_nd, 0.05)
     T = 2
-    simulate(plan, T, initial)
+    report = simulate(plan, T, initial)
 
     ops = [op for st in plan.stages if st.circuit is not None for op in st.circuit.ops]
     assert calls["apply_1q"] == T * sum(op.control is None for op in ops)
     assert calls["apply_controlled"] == T * sum(op.control is not None for op in ops)
     assert calls["postselect"] == T * plan.stage_counts()["postselect"]
-    assert np.array_equal(initial.amp, before)
+    assert report.state is initial
 
     # wave gates run on the ancilla-|0> half, everything else full width
     nq = plan.n_qubits
@@ -241,23 +255,24 @@ def test_one_kernel_call_per_planned_gate(monkeypatch, n, d):
 
 
 def full_width_run(plan, T, initial):
-    """Every stage on the whole state: the path ``simulate`` narrows."""
+    """Every stage on the whole state: the path ``simulate`` narrows.
+    Runs on a copy, leaving ``initial`` as it was."""
     anc = plan.layout.ancilla
     state = StateVector(initial.n_qubits, initial.amp.copy())
     success = 1.0
     for _ in range(T):
         for st in plan.stages:
             if st.kind == "postselect":
-                p, state = postselect(state, anc, 0, out=state.amp)
-                success *= p
+                success *= postselect(state, anc, 0)
             else:
-                state = circuits.apply_circuit(state, st.circuit, out=state.amp)
+                circuits.apply_circuit(state, st.circuit)
     return state, success
 
 
 def assert_matches_full_width(plan, T, initial):
     ref, success = full_width_run(plan, T, initial)
     report = simulate(plan, T, initial)
+    assert report.state is initial
     assert np.array_equal(report.state.amp, ref.amp)
     assert report.success_prob == success
     return report
@@ -296,17 +311,17 @@ def hand_built(stages_of, layout=None):
 def test_wave_before_any_postselect_runs_full_width():
     plan, wave, damp = hand_built(lambda w, d, _: (w, d, POSTSELECT, w))
     initial = warm_ancilla_initial(plan.sys)
+    start = initial.amp.copy()
     assert_matches_full_width(plan, 2, initial)
     # the input tells the paths apart: narrowing the leading wave drops
     # its action on the ancilla-|1> part, which the damping mixes back in
     nq = plan.n_qubits
-    wrong = StateVector(nq, initial.amp.copy())
-    low = wrong.amp[: wrong.amp.size // 2]
-    circuits.apply_circuit(StateVector(nq - 1, low),
-                           circuits.Circuit(nq - 1, wave.circuit.ops), out=low)
+    wrong = StateVector(nq, start.copy())
+    circuits.apply_circuit(StateVector(nq - 1, wrong.amp[: wrong.amp.size // 2]),
+                           circuits.Circuit(nq - 1, wave.circuit.ops))
     rest = SplitStepPlan(plan.scheme, plan.sys, plan.dt, (damp, POSTSELECT, wave), plan.layout)
     assert not np.array_equal(full_width_run(rest, 1, wrong)[0].amp,
-                              simulate(plan, 1, initial).state.amp)
+                              simulate(plan, 1, StateVector(nq, start)).state.amp)
 
 
 def test_ancilla_controlled_circuit_runs_full_width():

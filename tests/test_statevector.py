@@ -47,8 +47,8 @@ def test_from_amplitudes_rejects_bad_input():
 def test_little_endian_bit_order():
     # X on qubit 0 maps index 0 to index 1, not to index 2
     s = StateVector.basis(2)
-    s = apply_1q(s, Gate2x2.x(), target=0)
-    assert abs(s.amp.reshape(-1)[1] - 1.0) < 1e-15
+    apply_1q(s, Gate2x2.x(), target=0)
+    assert abs(s.amp[1] - 1.0) < 1e-15
 
 
 @pytest.mark.parametrize("maker,angle", [
@@ -59,10 +59,10 @@ def test_single_qubit_gates_match_dense_oracle(maker, angle):
     kind = gate.name
     for target in range(3):
         s = random_state(3)
-        out = apply_1q(s, gate, target)
         op = GateOp(kind, target=target, angle=angle)
-        expected = gateop_matrix(op, 3) @ s.amp.reshape(-1)
-        assert np.max(np.abs(out.amp.reshape(-1) - expected)) < 1e-14
+        expected = gateop_matrix(op, 3) @ s.amp
+        apply_1q(s, gate, target)
+        assert np.max(np.abs(s.amp - expected)) < 1e-14
 
 
 @pytest.mark.parametrize("kind,angle", [("CNOT", None), ("CRY", 0.9), ("CP", -0.4)])
@@ -71,10 +71,10 @@ def test_controlled_gates_match_dense_oracle(kind, angle):
     gate = gate() if angle is None else gate(angle)
     for control, target in [(0, 2), (2, 0), (1, 3), (3, 1)]:
         s = random_state(4)
-        out = apply_controlled(s, gate, control, target)
         op = GateOp(kind, target=target, control=control, angle=angle)
-        expected = gateop_matrix(op, 4) @ s.amp.reshape(-1)
-        assert np.max(np.abs(out.amp.reshape(-1) - expected)) < 1e-14
+        expected = gateop_matrix(op, 4) @ s.amp
+        apply_controlled(s, gate, control, target)
+        assert np.max(np.abs(s.amp - expected)) < 1e-14
 
 
 def test_control_equal_target_rejected():
@@ -83,21 +83,28 @@ def test_control_equal_target_rejected():
         apply_controlled(s, Gate2x2.x(), control=1, target=1)
 
 
-def test_gate_application_preserves_input():
+def test_gate_application_mutates_input():
     s = random_state(2)
-    before = s.amp.copy()
-    apply_1q(s, Gate2x2.ry(0.3), 0)
-    apply_controlled(s, Gate2x2.ry(0.3), 0, 1)
-    assert np.array_equal(s.amp, before)
+    amp = s.amp
+    before = amp.copy()
+    assert apply_1q(s, Gate2x2.ry(0.3), 0) is None
+    mid = amp.copy()
+    assert apply_controlled(s, Gate2x2.ry(0.3), 0, 1) is None
+    assert s.amp is amp
+    assert not np.array_equal(mid, before) and not np.array_equal(amp, mid)
 
 
-def test_postselect_and_circuit_preserve_input():
+def test_postselect_and_circuit_mutate_input():
     s = random_state(3)
-    before = s.amp.copy()
-    postselect(s, 1, 0)
-    apply_circuit(s, Circuit(3, (GateOp("CRY", target=2, control=0, angle=0.3),
-                                 GateOp("X", target=1))))
-    assert np.array_equal(s.amp, before)
+    amp = s.amp
+    before = amp.copy()
+    p = postselect(s, 1, 0)
+    assert type(p) is float
+    mid = amp.copy()
+    assert apply_circuit(s, Circuit(3, (GateOp("CRY", target=2, control=0, angle=0.3),
+                                        GateOp("X", target=1)))) is None
+    assert s.amp is amp
+    assert not np.array_equal(mid, before) and not np.array_equal(amp, mid)
 
 
 def _kernel_cases():
@@ -121,21 +128,19 @@ MAKERS = {"RY": Gate2x2.ry, "CRY": Gate2x2.ry, "RZ": Gate2x2.rz, "P": Gate2x2.p,
 
 @pytest.mark.parametrize("op,n", list(_kernel_cases()))
 def test_kernel_fresh_and_in_place_match_dense_oracle(op, n):
+    # each run updates its own copy in place, once with fresh scratch the
+    # gate allocates and once with a caller's ``work``
     s = random_state(n)
     expected = gateop_matrix(op, n) @ s.amp
     maker = MAKERS[op.kind]
     gate = maker() if op.angle is None else maker(op.angle)
-    if op.control is None:
-        fresh = apply_1q(s, gate, op.target)
-        in_place = apply_1q(s, gate, op.target, out=s.amp,
-                            work=np.empty(2 ** (n + 1), dtype=complex))
-    else:
-        fresh = apply_controlled(s, gate, op.control, op.target)
-        in_place = apply_controlled(s, gate, op.control, op.target, out=s.amp,
-                                    work=np.empty(2 ** (n + 1), dtype=complex))
-    assert np.max(np.abs(fresh.amp - expected)) < 1e-14
-    assert in_place.amp is s.amp
-    assert np.max(np.abs(s.amp - expected)) < 1e-14
+    for work in (None, np.empty(2 ** (n + 1), dtype=complex)):
+        t = StateVector(n, s.amp.copy())
+        if op.control is None:
+            apply_1q(t, gate, op.target, work=work)
+        else:
+            apply_controlled(t, gate, op.control, op.target, work=work)
+        assert np.max(np.abs(t.amp - expected)) < 1e-14
 
 
 @pytest.mark.parametrize("matrix", [
@@ -148,12 +153,9 @@ def test_kernel_branches_with_asymmetric_entries(matrix):
         s = random_state(3)
         expected = embed_2x2(gate.matrix, 3, target, control) @ s.amp
         if control is None:
-            fresh = apply_1q(s, gate, target)
-            apply_1q(s, gate, target, out=s.amp)
+            apply_1q(s, gate, target)
         else:
-            fresh = apply_controlled(s, gate, control, target)
-            apply_controlled(s, gate, control, target, out=s.amp)
-        assert np.max(np.abs(fresh.amp - expected)) < 1e-14
+            apply_controlled(s, gate, control, target)
         assert np.max(np.abs(s.amp - expected)) < 1e-14
 
 
@@ -186,25 +188,26 @@ def test_kernel_matches_basis_oracle(draw):
     expected = embed_2x2(matrix, n, target, control) @ s.amp
     gate = Gate2x2(matrix)
 
-    def apply(out=None, work=None):
+    def apply(state, work=None):
         if control is None:
-            return apply_1q(s, gate, target, out, work=work)
-        return apply_controlled(s, gate, control, target, out, work=work)
+            apply_1q(state, gate, target, work=work)
+        else:
+            apply_controlled(state, gate, control, target, work=work)
 
-    fresh = apply()
-    separate = apply(out=np.empty(2**n, dtype=complex))
+    fresh = StateVector(n, s.amp.copy())  # the gate allocates its scratch
+    apply(fresh)
     assert np.max(np.abs(fresh.amp - expected)) < 1e-13
-    assert np.array_equal(separate.amp, fresh.amp)
     # scratch a gate needs: none for a diagonal, the pair for an
     # anti-diagonal, twice the pair for a general matrix
     pair = 2**n if control is None else 2 ** (n - 1)
     need = (0 if matrix[0, 1] == matrix[1, 0] == 0
             else pair if not matrix.diagonal().any() else 2 * pair)
     if need:
+        before = s.amp.copy()
         with pytest.raises(ValueError):
-            apply(out=s.amp, work=np.empty(need - 1, dtype=complex))
-    in_place = apply(out=s.amp, work=np.empty(need, dtype=complex))
-    assert in_place.amp is s.amp
+            apply(s, work=np.empty(need - 1, dtype=complex))
+        assert np.array_equal(s.amp, before)
+    apply(s, work=np.empty(need, dtype=complex))
     assert np.array_equal(s.amp, fresh.amp)
 
 
@@ -227,23 +230,25 @@ def test_kernel_rounding_order(n):
         expected[idx0] = a * m00 + b * m01
         expected[idx1] = b * m11 + a * m10
         if control is None:
-            fresh = apply_1q(s, gate, target)
-            apply_1q(s, gate, target, out=s.amp)
+            apply_1q(s, gate, target)
         else:
-            fresh = apply_controlled(s, gate, control, target)
-            apply_controlled(s, gate, control, target, out=s.amp)
-        assert np.array_equal(fresh.amp, expected), (gate.name, control, target)
+            apply_controlled(s, gate, control, target)
         assert np.array_equal(s.amp, expected), (gate.name, control, target)
 
 
 @pytest.mark.parametrize("qubit,outcome", [(0, 0), (2, 1), (4, 0), (4, 1)])
 def test_postselect_in_place_matches_fresh(qubit, outcome):
+    # in place on the state, against a projection computed afresh
     s = random_state(5)
-    p, fresh = postselect(s, qubit, outcome)
-    p_in, in_place = postselect(s, qubit, outcome, out=s.amp)
-    assert p_in == p
-    assert in_place.amp is s.amp
-    assert np.array_equal(s.amp, fresh.amp)
+    kept = (np.arange(2**5) >> qubit & 1) == outcome
+    p_want = float(np.sum(np.abs(s.amp[kept]) ** 2))
+    want = np.where(kept, s.amp, 0) / np.sqrt(p_want)
+    amp = s.amp
+    p = postselect(s, qubit, outcome)
+    assert s.amp is amp
+    assert p == pytest.approx(p_want, rel=1e-14)
+    assert np.max(np.abs(s.amp - want)) < 1e-15
+    assert not np.any(s.amp[~kept])
 
 
 def test_out_and_work_must_fit_and_not_overlap():
@@ -252,44 +257,36 @@ def test_out_and_work_must_fit_and_not_overlap():
         apply_1q(s, Gate2x2.x(), 0, work=np.empty(16))
     with pytest.raises(ValueError):  # a general 2x2 on 3 qubits needs 16
         apply_1q(s, Gate2x2.ry(0.3), 0, work=np.empty(8, dtype=complex))
-    work = np.empty(16, dtype=complex)
     with pytest.raises(ValueError):
-        apply_1q(s, Gate2x2.x(), 0, out=work[:8], work=work)
-    with pytest.raises(ValueError):
-        apply_1q(s, Gate2x2.x(), 0, out=np.empty(4, dtype=complex))
-    with pytest.raises(ValueError):
-        apply_1q(s, Gate2x2.x(), 0, out=np.empty(8))
-    with pytest.raises(ValueError):
-        postselect(s, 0, 0, out=s.amp[::-1])
-    with pytest.raises(ValueError):
-        apply_controlled(s, Gate2x2.x(), 0, 1, out=s.amp[:])
-
-
-def test_degenerate_postselect_leaves_out_untouched():
-    s = StateVector.basis(2, index=0)
-    with pytest.raises(DegeneratePostselectionError):
-        postselect(s, qubit=0, outcome=1, out=s.amp)
-    assert s.amp[0] == 1.0
+        apply_1q(s, Gate2x2.x(), 0, work=s.amp)
+    # amplitudes a gate could not update in place
+    for amp in (np.empty(8), np.empty(4, dtype=complex), s.amp[::-1],
+                np.empty((2, 4), dtype=complex), np.empty(16, dtype=complex)[::2]):
+        with pytest.raises(ValueError):
+            StateVector(3, amp)
 
 
 def test_postselect_probability_and_renormalization():
     # amplitudes chosen so qubit 1 is |0> with probability 0.64
     amp = np.array([0.8, 0.0, 0.6, 0.0])
-    s = StateVector.from_amplitudes(amp)
-    p, kept = postselect(s, qubit=1, outcome=0)
+    kept = StateVector.from_amplitudes(amp)
+    kept1 = StateVector.from_amplitudes(amp)
+    p = postselect(kept, qubit=1, outcome=0)
     assert abs(p - 0.64) < 1e-15
     assert abs(kept.norm() - 1.0) < 1e-15
-    assert abs(kept.amp.reshape(-1)[0] - 1.0) < 1e-15
+    assert abs(kept.amp[0] - 1.0) < 1e-15
 
-    p1, kept1 = postselect(s, qubit=1, outcome=1)
+    p1 = postselect(kept1, qubit=1, outcome=1)
     assert abs(p1 - 0.36) < 1e-15
-    assert abs(kept1.amp.reshape(-1)[2] - 1.0) < 1e-15
+    assert abs(kept1.amp[2] - 1.0) < 1e-15
 
 
 def test_postselect_degenerate_branch():
+    # a degenerate outcome raises before anything is written
     s = StateVector.basis(2, index=0)
     with pytest.raises(DegeneratePostselectionError):
         postselect(s, qubit=0, outcome=1)
+    assert np.array_equal(s.amp, [1, 0, 0, 0])
 
 
 def test_gate2x2_unitarity():
