@@ -282,7 +282,13 @@ def test_postselect_probability_and_renormalization():
 
 
 def test_postselect_degenerate_branch():
-    # a degenerate outcome raises before anything is written
+    s = StateVector.basis(2, index=0)
+    with pytest.raises(DegeneratePostselectionError):
+        postselect(s, qubit=0, outcome=1)
+
+
+def test_degenerate_postselect_leaves_out_untouched():
+    # a degenerate outcome raises before anything is written to the state
     s = StateVector.basis(2, index=0)
     with pytest.raises(DegeneratePostselectionError):
         postselect(s, qubit=0, outcome=1)
