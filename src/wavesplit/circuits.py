@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,12 +42,30 @@ CNOT_COST = {"RY": 0, "RZ": 0, "P": 0, "X": 0, "CNOT": 1, "CRY": 2, "CP": 2}
 _MATRIX_QUBIT_CAP = 12
 
 
-@dataclass(frozen=True)
-class GateOp:
+class GateOp(NamedTuple):
     kind: str
     target: int
     control: int | None = None
     angle: float | None = None
+
+
+@lru_cache(maxsize=4096)
+def _check_wiring(n_qubits: int, kind: str, target: int, control: int | None) -> bool:
+    """Raise on a wiring that does not fit ``n_qubits``, else tell whether
+    the kind takes an angle.  A plan repeats a few wirings many times, so
+    each is checked once; a rejection raises and is never cached."""
+    if kind not in GATE_KINDS:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    if not 0 <= target < n_qubits:
+        raise ValueError(f"target {target} out of range")
+    if kind in _NEEDS_CONTROL:
+        if control is None or not 0 <= control < n_qubits:
+            raise ValueError(f"{kind} needs an in-range control qubit")
+        if control == target:
+            raise ValueError("control equals target")
+    elif control is not None:
+        raise ValueError(f"{kind} takes no control qubit")
+    return kind in _NEEDS_ANGLE
 
 
 @dataclass(frozen=True)
@@ -81,20 +100,11 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
-        for op in self.ops:
-            if op.kind not in GATE_KINDS:
-                raise ValueError(f"unknown gate kind {op.kind!r}")
-            if not 0 <= op.target < self.n_qubits:
-                raise ValueError(f"target {op.target} out of range")
-            if op.kind in _NEEDS_CONTROL:
-                if op.control is None or not 0 <= op.control < self.n_qubits:
-                    raise ValueError(f"{op.kind} needs an in-range control qubit")
-                if op.control == op.target:
-                    raise ValueError("control equals target")
-            elif op.control is not None:
-                raise ValueError(f"{op.kind} takes no control qubit")
-            if op.kind in _NEEDS_ANGLE and (op.angle is None or not math.isfinite(op.angle)):
-                raise ValueError(f"{op.kind} needs a finite angle")
+        n = self.n_qubits
+        for kind, target, control, angle in self.ops:
+            if _check_wiring(n, kind, target, control) and (
+                    angle is None or not math.isfinite(angle)):
+                raise ValueError(f"{kind} needs a finite angle")
 
     @cached_property
     def gates(self) -> tuple[Gate2x2, ...]:
@@ -214,12 +224,10 @@ def wave_evolution_circuit(sys: ModeSystem, tau: float, dim: int = 0,
     data = layout.data[dim]
     sel = layout.selector
     top = data[-1]
-    ops = [GateOp("CNOT", target=sel, control=top)]
-    for r, q in enumerate(data):
-        ops.append(GateOp("CRY", target=sel, control=q, angle=-(2.0**r) * tau))
-    ops.append(GateOp("CNOT", target=sel, control=top))
-    ops.append(GateOp("CRY", target=sel, control=top, angle=-(2.0 ** len(data)) * tau))
-    return Circuit(layout.n_qubits, tuple(ops))
+    flip = GateOp("CNOT", sel, top)
+    ladder = [GateOp("CRY", sel, q, -(2.0**r) * tau) for r, q in enumerate(data)]
+    return Circuit(layout.n_qubits, (
+        flip, *ladder, flip, GateOp("CRY", sel, top, -(2.0 ** len(data)) * tau)))
 
 
 def damping_real_circuit(gamma_dt: float, layout: RegisterLayout) -> Circuit:
@@ -231,8 +239,7 @@ def damping_real_circuit(gamma_dt: float, layout: RegisterLayout) -> Circuit:
     if not math.isfinite(gamma_dt) or gamma_dt < 0:
         raise ValueError("dissipative stage needs a nonnegative finite argument")
     angle = 2.0 * math.acos(math.exp(-gamma_dt))
-    op = GateOp("CRY", target=layout.ancilla, control=layout.selector, angle=angle)
-    return Circuit(layout.n_qubits, (op,))
+    return Circuit(layout.n_qubits, (GateOp("CRY", layout.ancilla, layout.selector, angle),))
 
 
 def damping_phase_gate(gamma_im_dt: float, layout: RegisterLayout) -> Circuit:
@@ -243,8 +250,7 @@ def damping_phase_gate(gamma_im_dt: float, layout: RegisterLayout) -> Circuit:
     """
     if not math.isfinite(gamma_im_dt):
         raise ValueError("phase stage needs a finite argument")
-    op = GateOp("P", target=layout.selector, angle=-gamma_im_dt)
-    return Circuit(layout.n_qubits, (op,))
+    return Circuit(layout.n_qubits, (GateOp("P", layout.selector, None, -gamma_im_dt),))
 
 
 def _op_gate(op: GateOp) -> Gate2x2:

@@ -24,6 +24,7 @@ from .statevector import StateVector
 
 _EXPM_DIM_CAP = 64
 _CRITICAL_REL_TOL = 1e-12
+_EXP_NORMAL = -math.log(np.finfo(float).tiny)  # 708.4: exp(-x) is normal below it
 
 
 @dataclass(frozen=True)
@@ -54,13 +55,22 @@ def _propagator_entries(omega, gamma: float, t: float):
     over = disc < -thr
     osc = np.sqrt(np.where(under, disc, 1.0))
     dec = np.sqrt(np.where(over, -disc, 1.0))
-    c = np.where(under, np.cos(osc * t), np.where(over, np.cosh(dec * t), 1.0))
-    s = np.where(under, np.sin(osc * t) / osc,
-                 np.where(over, np.sinh(dec * t) / dec, t))
+    # past this, exp(-gamma t / 2) leaves the normal range and cosh(dec t)
+    # may overflow, so overdamped modes fold it into their exponents
+    fold = over & (0.5 * gamma * abs(t) > _EXP_NORMAL)
+    xt = np.where(fold, 0.0, dec * t)
+    c = np.where(under, np.cos(osc * t), np.where(over, np.cosh(xt), 1.0))
+    s = np.where(under, np.sin(osc * t) / osc, np.where(over, np.sinh(xt) / dec, t))
     pref = math.exp(-0.5 * gamma * t)
     m00 = pref * (c + 0.5 * gamma * s)
     m01 = pref * om * s
     m11 = pref * (c - 0.5 * gamma * s)
+    if fold.any():
+        d, w = dec[fold], om[fold]
+        ep = np.exp(-w * w / (d + 0.5 * gamma) * t)  # exp((dec - gamma/2) t)
+        em = np.exp(-(d + 0.5 * gamma) * t)
+        pc, ps = 0.5 * (ep + em), 0.5 * (ep - em) / d
+        m00[fold], m01[fold], m11[fold] = pc + 0.5 * gamma * ps, w * ps, pc - 0.5 * gamma * ps
     return m00, m01, -m01, m11
 
 

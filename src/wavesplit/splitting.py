@@ -123,6 +123,10 @@ def build_step(scheme: SplittingScheme, sys: ModeSystem, dt: float) -> SplitStep
     a, b = scheme.a, scheme.b
     if not (len(a) == len(b) + 1 or len(a) == len(b) == 1):
         raise ValueError(f"scheme {scheme.name!r} has unsupported stage counts")
+    # the ancilla contraction exp(-g) cannot amplify, so every Re(a) must be >= 0
+    for i, ai in enumerate(a):
+        if complex(ai).real < 0:
+            raise ValueError(f"dissipative coefficient a[{i}] = {ai} has a negative real part")
     # the largest dissipative argument and wave angle the circuits will take
     if not np.isfinite(sys.gamma * max(abs(complex(ai)) for ai in a) * dt):
         raise ValueError(f"damping rate {sys.gamma:g} times step size {dt:g} overflows")

@@ -32,18 +32,51 @@ rng = np.random.default_rng(11)
 
 
 def test_gateop_validation():
-    with pytest.raises(ValueError):
-        Circuit(2, (GateOp("H", target=0),))
-    with pytest.raises(ValueError):
-        Circuit(2, (GateOp("RY", target=2, angle=0.1),))
-    with pytest.raises(ValueError):
-        Circuit(2, (GateOp("CNOT", target=0),))  # control required
-    with pytest.raises(ValueError):
-        Circuit(2, (GateOp("RY", target=0, control=1, angle=0.1),))
-    with pytest.raises(ValueError):
-        Circuit(2, (GateOp("RY", target=0, angle=float("nan")),))
-    with pytest.raises(ValueError):
-        Circuit(2, (GateOp("CNOT", target=0, control=0),))
+    # each message twice: a wiring check that is cached must still reject
+    # the same bad op every time it is built
+    bad = [
+        (GateOp("H", target=0), "unknown gate kind 'H'"),
+        (GateOp("RY", target=2, angle=0.1), "target 2 out of range"),
+        (GateOp("RY", target=-1, angle=0.1), "target -1 out of range"),
+        (GateOp("CNOT", target=0), "CNOT needs an in-range control qubit"),
+        (GateOp("CRY", target=0, control=2, angle=0.1), "CRY needs an in-range control qubit"),
+        (GateOp("RY", target=0, control=1, angle=0.1), "RY takes no control qubit"),
+        (GateOp("RY", target=0, angle=float("nan")), "RY needs a finite angle"),
+        (GateOp("CP", target=0, control=1), "CP needs a finite angle"),
+        (GateOp("CNOT", target=0, control=0), "control equals target"),
+    ]
+    for op, message in bad:
+        for _ in range(2):
+            with pytest.raises(ValueError) as err:
+                Circuit(2, (GateOp("X", target=1), op))
+            assert str(err.value) == message
+
+
+def test_wiring_valid_at_n_still_raises_at_n_minus_1():
+    for op, message in [(GateOp("CRY", 3, 1, 0.2), "target 3 out of range"),
+                        (GateOp("CNOT", 0, 3), "CNOT needs an in-range control qubit")]:
+        Circuit(4, (op,))
+        with pytest.raises(ValueError) as err:
+            Circuit(3, (op,))
+        assert str(err.value) == message
+    # a wiring already accepted still has its angle checked
+    Circuit(2, (GateOp("RY", 0, None, 0.5),))
+    for angle in (float("inf"), None):
+        with pytest.raises(ValueError, match="RY needs a finite angle"):
+            Circuit(2, (GateOp("RY", 0, None, angle),))
+
+
+def test_gateop_is_an_immutable_tuple_record():
+    op = GateOp("CRY", 3, 1, 0.25)
+    assert GateOp._fields == ("kind", "target", "control", "angle")
+    assert GateOp("X", 0) == GateOp("X", target=0, control=None, angle=None)
+    assert repr(op) == "GateOp(kind='CRY', target=3, control=1, angle=0.25)"
+    assert repr(GateOp("X", 0)) == "GateOp(kind='X', target=0, control=None, angle=None)"
+    with pytest.raises(AttributeError):
+        op.angle = 0.5
+    assert op == ("CRY", 3, 1, 0.25)
+    assert hash(op) == hash(GateOp(kind="CRY", target=3, control=1, angle=0.25))
+    assert len({op, GateOp("CRY", 3, 1, 0.25), GateOp("CRY", 3, 1, 0.5)}) == 2
 
 
 def test_layout_standard():
@@ -105,6 +138,24 @@ def test_wave_circuit_block_structure(n):
     # per-mode rotations on the data+selector register, ancilla untouched
     assert wave_block_error(sys_n, 0.137) < 1e-13
     assert cnot_count(wave_evolution_circuit(sys_n, 0.137)) == 2 * n + 4
+
+
+@pytest.mark.parametrize("n,d,dim", [(1, 1, 0), (3, 1, 0), (4, 3, 2)])
+def test_wave_circuit_ops_are_the_documented_ladder(n, d, dim):
+    sys_ = ModeSystem(n=n, d=d)
+    lay = sys_.layout()
+    data, sel = lay.data[dim], lay.selector
+    tau = 0.1 * 7.3
+    circ = wave_evolution_circuit(sys_, tau, dim)
+    # CNOT(top -> selector), CRY(-2**r tau) per data qubit r, the same
+    # CNOT again, then CRY(-2**n tau) controlled by the top qubit
+    want = ((GateOp("CNOT", sel, data[-1]),)
+            + tuple(GateOp("CRY", sel, q, -(2.0**r) * tau) for r, q in enumerate(data))
+            + (GateOp("CNOT", sel, data[-1]), GateOp("CRY", sel, data[-1], -(2.0**n) * tau)))
+    assert circ.ops == want
+    assert all(type(op) is GateOp for op in circ.ops)
+    assert [op.angle.hex() for op in circ.ops if op.angle is not None] == [
+        op.angle.hex() for op in want if op.angle is not None]
 
 
 def random_op(kind: str, n: int) -> GateOp:

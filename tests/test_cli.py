@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import argparse
+import math
+import re
 import subprocess
 import sys
+import warnings
 
 from wavesplit.cli import run
 
@@ -151,6 +154,18 @@ def test_runtime_error_exit_code(capsys):
     assert "error: damping rate" in capsys.readouterr().err
     assert run(base + ["--t-final", "1e308"]) == 1
     assert "error: step size" in capsys.readouterr().err
+
+
+def test_heavily_overdamped_run_prints_finite_numbers(capsys):
+    # gamma t / 2 = 1750: the analytic propagator must not turn 0 * inf into nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["simulate", "--scheme", "lie", "--n", "3", "--gamma-ratio", "5e3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    values = dict(re.findall(r"(\w+)=(\S+)", captured.out))
+    for key in ("success_prob", "analytic_norm_ratio", "epsilon"):
+        assert math.isfinite(float(values[key]))
 
 
 def test_console_entry_point():

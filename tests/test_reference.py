@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -38,6 +40,21 @@ def test_mode_propagator_matches_expm(omega, gamma):
         mine = mode_propagator(omega, gamma, t)
         ref = scipy.linalg.expm(generator(omega, gamma) * t)
         assert np.max(np.abs(mine - ref)) < 1e-13
+
+
+@pytest.mark.parametrize("omega,gamma,t", [
+    (6.28, 2100.0, 0.7),   # exp(-gamma t/2) underflows, cosh(dec t) overflows
+    (0.0, 2100.0, 0.7),    # zero mode
+    (300.0, 2100.0, 0.7),  # the slow branch itself decays to ~1e-14
+    (6.28, 5000.0, 3.0),
+])
+def test_mode_propagator_finite_when_heavily_overdamped(omega, gamma, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mine = mode_propagator(omega, gamma, t)
+    ref = scipy.linalg.expm(generator(omega, gamma) * t)
+    assert np.all(np.isfinite(mine))
+    assert np.max(np.abs(mine - ref)) < 1e-12
 
 
 def test_mode_propagator_continuity_at_critical_branch():

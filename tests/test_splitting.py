@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,7 +9,7 @@ import scipy.linalg
 from wavesplit import circuits, splitting
 from wavesplit.circuits import ModeSystem
 from wavesplit.reference import dense_expm, encode_initial, spectral_pairs
-from wavesplit.schemes import builtin_schemes, get_scheme
+from wavesplit.schemes import SplittingScheme, builtin_schemes, get_scheme, validate_scheme
 from wavesplit.splitting import (
     POSTSELECT,
     SplitStepPlan,
@@ -118,6 +120,55 @@ def test_build_step_names_an_overflowing_input(monkeypatch):
     # large arguments whose products stay finite still build
     build_step(get_scheme("lie"), ModeSystem(n=3, gamma=1e307), 1.0)
     build_step(get_scheme("lie"), ModeSystem(n=3), 1e300)
+
+
+BUILDERS = {"wave": "wave_evolution_circuit", "damp_real": "damping_real_circuit",
+            "damp_phase": "damping_phase_gate"}
+
+
+def spy_builders(monkeypatch, calls: Counter) -> None:
+    """Count the circuit builders ``build_step`` calls, by stage kind."""
+    for kind, name in BUILDERS.items():
+        inner = getattr(splitting, name)
+        monkeypatch.setattr(splitting, name, lambda *args, inner=inner, kind=kind:
+                            calls.update([kind]) or inner(*args))
+
+
+@pytest.mark.parametrize("scheme", builtin_schemes(), ids=lambda s: s.name)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_one_builder_call_per_circuit_stage(monkeypatch, scheme, d):
+    # the benchmark derives its expected construct counts from stage_counts()
+    calls = Counter()
+    spy_builders(monkeypatch, calls)
+    plan = build_step(scheme, ModeSystem(n=3, d=d), 1.0)
+    counts = plan.stage_counts()
+    assert {k: calls[k] for k in BUILDERS} == {k: counts[k] for k in BUILDERS}
+    # and every circuit stage holds its own circuit, repeated coefficients too
+    circuits_ = [st.circuit for st in plan.stages if st.circuit is not None]
+    assert len({id(c) for c in circuits_}) == len(circuits_) == sum(calls.values())
+
+
+def yoshida4() -> SplittingScheme:
+    """Yoshida's (1990) fourth-order triple jump: real coefficients, and the
+    middle steps negative, as every real scheme above order 2 must have."""
+    w1 = 1 / (2 - 2 ** (1 / 3))
+    w0 = -(2 ** (1 / 3)) * w1
+    a = (w1 / 2, (w0 + w1) / 2, (w0 + w1) / 2, w1 / 2)
+    return SplittingScheme("yoshida4", 4, tuple(complex(x) for x in a), (w1, w0, w1))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+def test_build_step_rejects_a_negative_dissipative_coefficient(monkeypatch, gamma):
+    scheme = yoshida4()
+    assert sum(scheme.a) == pytest.approx(1, abs=1e-15)
+    assert sum(scheme.b) == pytest.approx(1, abs=1e-15)
+    assert not validate_scheme(scheme).passed
+    calls = Counter()
+    spy_builders(monkeypatch, calls)
+    with pytest.raises(ValueError, match=r"^dissipative coefficient a\[1\] = \(-0\.1756\d*\+0j\) "
+                                         r"has a negative real part$"):
+        build_step(scheme, ModeSystem(n=3, gamma=gamma), 0.1)
+    assert not calls
 
 
 def test_cnot_per_step_formula():
