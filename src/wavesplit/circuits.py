@@ -112,12 +112,6 @@ class Circuit:
         counted, never applied, do not pay for them."""
         return tuple(_op_gate(op) for op in self.ops)
 
-    @cached_property
-    def _scratch_size(self) -> int:
-        """Amplitudes of scratch ``apply_circuit`` shares across the gates:
-        2**(n+1) when an uncontrolled RY needs it, 2**n otherwise."""
-        return 2 ** (self.n_qubits + any(op.kind == "RY" for op in self.ops))
-
 
 @dataclass(frozen=True)
 class ModeSystem:
@@ -264,20 +258,14 @@ def _op_gate(op: GateOp) -> Gate2x2:
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> None:
-    """Apply every op in order to ``state`` in place.
-
-    The gates share one scratch array for the call, sized for the
-    largest need: 2**(n+1) amplitudes for an uncontrolled RY, 2**n
-    otherwise.
-    """
+    """Apply every op in order to ``state`` in place, one kernel call per op."""
     if state.n_qubits != circuit.n_qubits:
         raise ValueError("state and circuit disagree on qubit count")
-    work = np.empty(circuit._scratch_size, dtype=complex)
     for op, gate in zip(circuit.ops, circuit.gates):
         if op.control is None:
-            apply_1q(state, gate, op.target, work=work)
+            apply_1q(state, gate, op.target)
         else:
-            apply_controlled(state, gate, op.control, op.target, work=work)
+            apply_controlled(state, gate, op.control, op.target)
 
 
 def circuit_to_matrix(circuit: Circuit) -> np.ndarray:

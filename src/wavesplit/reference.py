@@ -49,12 +49,22 @@ class ModePairs:
 def _propagator_entries(omega, gamma: float, t: float):
     """Entries of exp(([[0, w], [-w, -gamma]]) * t), vectorized over w."""
     om = np.asarray(omega, dtype=float)
-    disc = om * om - 0.25 * gamma * gamma
-    thr = _CRITICAL_REL_TOL * gamma * gamma
-    under = disc > thr
-    over = disc < -thr
-    osc = np.sqrt(np.where(under, disc, 1.0))
-    dec = np.sqrt(np.where(over, -disc, 1.0))
+    if math.isfinite(float(gamma) * float(gamma)):
+        disc = om * om - 0.25 * gamma * gamma
+        thr = _CRITICAL_REL_TOL * gamma * gamma
+        under = disc > thr
+        over = disc < -thr
+        osc = np.sqrt(np.where(under, disc, 1.0))
+        dec = np.sqrt(np.where(over, -disc, 1.0))
+    else:
+        # gamma**2 overflows: classify by (h - w)(h + w) / h**2 with
+        # h = gamma / 2, and take each root as a product of two roots
+        h = 0.5 * gamma
+        rel = (1 - om / h) * (1 + om / h)
+        under = rel < -4 * _CRITICAL_REL_TOL
+        over = rel > 4 * _CRITICAL_REL_TOL
+        osc = np.sqrt(np.where(under, om - h, 1.0)) * np.sqrt(np.where(under, om + h, 1.0))
+        dec = np.sqrt(np.where(over, h - om, 1.0)) * np.sqrt(np.where(over, h + om, 1.0))
     # past this, exp(-gamma t / 2) leaves the normal range and cosh(dec t)
     # may overflow, so overdamped modes fold it into their exponents
     fold = over & (0.5 * gamma * abs(t) > _EXP_NORMAL)

@@ -28,7 +28,7 @@ from .circuits import (Circuit, ModeSystem, RegisterLayout, apply_circuit,
                        wave_evolution_circuit)
 from .reference import dense_expm
 from .schemes import SplittingScheme
-from .statevector import StateVector, _outcome_prob, postselect
+from .statevector import StateVector, _outcome_prob, _shared_work, postselect
 
 _IM_OMIT_TOL = 1e-15
 _HERM_TOL = 1e-12
@@ -165,20 +165,21 @@ def simulate(plan: SplitStepPlan, T: int, state: StateVector) -> RunReport:
     if state.n_qubits != plan.n_qubits:
         raise ValueError("initial state size does not match the plan")
     anc, n = plan.layout.ancilla, plan.n_qubits
-    if _outcome_prob(state, anc, 1) > 1e-12:
-        raise ValueError("ancilla must start in |0>")
-
-    t0 = time.perf_counter()
-    # the ancilla-|0> half when the ancilla is on top
+    # the ancilla-|0> half when the ancilla is on top; it and the state
+    # share one scratch, released on the way out
     low = StateVector(n - 1, state.amp[: 2 ** (n - 1)])
-    success = 1.0
-    for _ in range(T):
-        for circuit in plan._schedule:
-            if circuit is None:
-                success *= postselect(state, anc, 0)
-            else:
-                apply_circuit(low if circuit.n_qubits < n else state, circuit)
-    wall = time.perf_counter() - t0
+    with _shared_work((state, low), 2**n):
+        if _outcome_prob(state, anc, 1) > 1e-12:
+            raise ValueError("ancilla must start in |0>")
+        t0 = time.perf_counter()
+        success = 1.0
+        for _ in range(T):
+            for circuit in plan._schedule:
+                if circuit is None:
+                    success *= postselect(state, anc, 0)
+                else:
+                    apply_circuit(low if circuit.n_qubits < n else state, circuit)
+        wall = time.perf_counter() - t0
     per_step = plan.cnot_per_step
     return RunReport(
         scheme=plan.scheme.name,

@@ -7,13 +7,19 @@ that needs the input afterwards copies it first.  Working amplitudes
 stay unit norm: ``postselect`` renormalizes and returns the outcome
 probability, and the caller keeps the running product of those
 probabilities (``splitting.simulate`` reports it as ``success_prob``).
+
+A gate updates a pair view of the amplitudes through scratch views.
+Both are per state: the first gate on a wiring checks its qubits and
+caches the views on the state, so later gates on it do only the
+arithmetic.  A state's scratch views are all carved from one buffer.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -58,21 +64,42 @@ class Gate2x2:
         return cls(np.array([[0, 1], [1, 0]], dtype=complex), "X")
 
 
+class _Views(dict):
+    """A state's cached views, keyed by wiring and kernel branch, their
+    scratch all carved from the one buffer ``work``.  A copy or pickle is
+    empty: the views belong to the original amplitudes."""
+
+    __slots__ = ("work",)
+
+    def __init__(self, work=None):
+        super().__init__()
+        self.work = work
+
+    def __reduce__(self):
+        return _Views, ()
+
+
 @dataclass
 class StateVector:
     """``amp`` is the 1-d C-contiguous complex array of 2**n_qubits
     amplitudes that gates update in place.  Any other array is rejected:
-    a reshape of it could be a copy, and a gate would update that copy."""
+    a reshape of it could be a copy, and a gate would update that copy.
+
+    ``_views`` caches the state's pair views and scratch by wiring; it is
+    not a field, and assigning ``amp`` or ``n_qubits`` starts it afresh."""
 
     n_qubits: int
     amp: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        a = self.amp
-        if not (isinstance(a, np.ndarray) and a.dtype == complex and a.ndim == 1
-                and a.size == 2**self.n_qubits and a.flags.c_contiguous):
+    def __setattr__(self, name, value):
+        if name == "amp" and not (
+                isinstance(value, np.ndarray) and value.dtype == complex and value.ndim == 1
+                and value.size == 2**self.n_qubits and value.flags.c_contiguous):
             raise ValueError(f"amp must be a 1-d C-contiguous complex array of "
                              f"2**{self.n_qubits} amplitudes")
+        object.__setattr__(self, name, value)
+        if name != "_views":
+            object.__setattr__(self, "_views", _Views())
 
     @classmethod
     def basis(cls, n_qubits: int, index: int = 0) -> "StateVector":
@@ -103,47 +130,52 @@ def _check_qubit(state: StateVector, qubit: int, role: str) -> None:
         raise ValueError(f"{role} qubit {qubit} out of range for {state.n_qubits} qubits")
 
 
-def _scratch(state: StateVector, work: np.ndarray | None, size: int) -> np.ndarray:
-    """``size`` amplitudes of ``work``, or of a fresh array when it is None."""
-    if work is None:
-        return np.empty(size, dtype=complex)
-    if (work.dtype != complex or work.size < size or not work.flags.c_contiguous
-            or np.may_share_memory(work, state.amp)):
-        raise ValueError(f"work must be a C-contiguous complex array of at least {size} "
-                         f"amplitudes that does not overlap the amplitudes")
-    return work.reshape(-1)[:size]
+@contextmanager
+def _shared_work(states, size: int):
+    """Carve the scratch of every state in ``states`` from one new buffer
+    of ``size`` amplitudes, and drop their caches on exit.  A state that
+    needs more scratch meanwhile grows its own."""
+    work = np.empty(size, dtype=complex)
+    for state in states:
+        state._views = _Views(work)
+    try:
+        yield
+    finally:
+        for state in states:
+            state._views = _Views()
 
 
-def _outcome_prob(state: StateVector, qubit: int, bit: int) -> float:
-    """Squared norm of the amplitudes where ``qubit`` reads ``bit``."""
-    # (high qubits, measured qubit, low qubits): the half is 2-d
-    half = state.amp.reshape(-1, 2, 2**qubit)[:, bit]
-    re, im = half.real, half.imag
-    return float(np.einsum("ij,ij->", re, re) + np.einsum("ij,ij->", im, im))
-
-
-@lru_cache(maxsize=None)  # keys are bounded by the qubit count
-def _pair_plan(n: int, target: int, control: int | None) -> tuple:
-    """``(shape, ctl1, axes)``: ``amp.reshape(shape)[ctl1].transpose(axes)``
-    is the (2, ...) pair view of the target-0 and target-1 amplitudes where
-    the control is 1.  C order puts high qubits first.
-    """
+def _carve(state: StateVector, key: tuple, target: int, control: int | None,
+           kind: str) -> tuple:
+    """Cache and return the views ``_combine`` takes for one wiring: the
+    halves of the pair view for a diagonal gate, else the pair, its
+    scratch copy ``ab``, ``ab`` reversed and, for a general gate, ``uv``.
+    The pair view stacks the target-0 and target-1 amplitudes where the
+    control is 1; C order puts high qubits first."""
+    n, views = state.n_qubits, state._views
     if control is None:
-        return (2 ** (n - 1 - target), 2, 1, 2**target), ..., (1, 0, 2, 3)
-    hi, lo = max(target, control), min(target, control)
-    ctl1 = (slice(None),) * (1 if control == hi else 3) + (1,)
-    return ((2 ** (n - 1 - hi), 2, 2 ** (hi - lo - 1), 2, 2**lo), ctl1,
-            (1, 0, 2, 3) if target == hi else (2, 0, 1, 3))
-
-
-def _apply_2x2(state: StateVector, gate: Gate2x2, target: int, control: int | None,
-               work: np.ndarray | None) -> None:
-    """Apply ``gate`` in place to the pair view of ``_pair_plan``."""
-    shape, ctl1, axes = _pair_plan(state.n_qubits, target, control)
-    pair = state.amp.reshape(shape)[ctl1].transpose(axes)
-    kind, diag, cross = gate._entries
+        pair = state.amp.reshape(2 ** (n - 1 - target), 2, 1, 2**target).transpose(1, 0, 2, 3)
+    else:
+        hi, lo = max(target, control), min(target, control)
+        ctl1 = (slice(None),) * (1 if control == hi else 3) + (1,)
+        pair = state.amp.reshape(2 ** (n - 1 - hi), 2, 2 ** (hi - lo - 1), 2, 2**lo)[ctl1]
+        pair = pair.transpose((1, 0, 2, 3) if target == hi else (2, 0, 1, 3))
     if kind == "diag":
-        for k, half in zip(diag.flat, pair):
+        views[key] = tuple(pair)
+        return views[key]
+    size = pair.size * (1 if kind == "anti" else 2)
+    if views.work is None or views.work.size < size:
+        views.clear()  # every entry stays carved from the one buffer
+        views.work = np.empty(size, dtype=complex)
+    scratch = views.work[:size].reshape((-1, *pair.shape))  # ab, and uv if general
+    views[key] = (pair, scratch[0], scratch[0, ::-1], *scratch[1:])
+    return views[key]
+
+
+def _combine(kind: str, diag: np.ndarray, cross: np.ndarray, views: tuple) -> None:
+    """Apply the 2x2 with entries ``diag`` and ``cross`` to the cached views."""
+    if kind == "diag":
+        for k, half in zip(diag.flat, views):
             if k != 1:
                 half *= k
         return
@@ -151,42 +183,63 @@ def _apply_2x2(state: StateVector, gate: Gate2x2, target: int, control: int | No
     # control qubit makes the runs short; a copy pays far less per run.
     # So the pair is copied out once, combined contiguously, copied back.
     if kind == "anti":
-        ab = _scratch(state, work, pair.size).reshape(pair.shape)
+        pair, ab, ba = views
         np.copyto(ab, pair)
-        np.multiply(ab[::-1], cross, out=pair)
+        np.multiply(ba, cross, out=pair)
         return
-    ab, uv = _scratch(state, work, 2 * pair.size).reshape((2, *pair.shape))
+    pair, ab, ba, uv = views
     np.copyto(ab, pair)
-    np.multiply(ab[::-1], cross, out=uv)  # (m01 b, m10 a)
+    np.multiply(ba, cross, out=uv)  # (m01 b, m10 a)
     ab *= diag
     ab += uv
     np.copyto(pair, ab)
 
 
-def apply_1q(state: StateVector, gate: Gate2x2, target: int, *,
-             work: np.ndarray | None = None) -> None:
-    """Apply a single-qubit gate to ``state`` in place.
+def apply_1q(state: StateVector, gate: Gate2x2, target: int) -> None:
+    """Apply a single-qubit gate to ``state`` in place.  The first gate on
+    a wiring checks it and caches its views on the state; later gates on
+    that wiring do only the arithmetic."""
+    kind, diag, cross = gate._entries
+    views = state._views.get((target, kind))
+    if views is None:
+        _check_qubit(state, target, "target")
+        views = _carve(state, (target, kind), target, None, kind)
+    _combine(kind, diag, cross, views)
 
-    ``work`` is scratch space the gate may overwrite, so that a run of
-    large gates need not allocate on every call.  A controlled gate needs
-    at most 2**n amplitudes of it and a single-qubit gate 2**(n+1); a
-    shorter ``work`` is an error, and without it the gate allocates its own.
-    """
-    _check_qubit(state, target, "target")
-    _apply_2x2(state, gate, target, None, work)
+
+def apply_controlled(state: StateVector, gate: Gate2x2, control: int, target: int) -> None:
+    """Apply ``gate`` to ``target`` on the control == 1 subspace, in place,
+    with views cached per wiring as in ``apply_1q``."""
+    kind, diag, cross = gate._entries
+    views = state._views.get((target, control, kind))
+    if views is None:
+        _check_qubit(state, control, "control")
+        _check_qubit(state, target, "target")
+        if control == target:
+            raise ValueError("control and target must be distinct qubits")
+        views = _carve(state, (target, control, kind), target, control, kind)
+    _combine(kind, diag, cross, views)
 
 
-def apply_controlled(state: StateVector, gate: Gate2x2, control: int, target: int, *,
-                     work: np.ndarray | None = None) -> None:
-    """Apply ``gate`` to ``target`` on the control == 1 subspace, in place.
+def _halves(state: StateVector, qubit: int, bit: int) -> tuple:
+    """The cached (kept, dropped, kept.real, kept.imag) halves of the
+    amplitudes where ``qubit`` reads ``bit`` and ``1 - bit``."""
+    views = state._views.get(("half", qubit, bit))
+    if views is None:
+        _check_qubit(state, qubit, "measured")
+        if bit not in (0, 1):
+            raise ValueError(f"outcome must be 0 or 1, got {bit}")
+        # (high qubits, measured qubit, low qubits): each half is 2-d
+        phi = state.amp.reshape(-1, 2, 2**qubit)
+        kept = phi[:, bit]
+        views = state._views["half", qubit, bit] = (kept, phi[:, 1 - bit], kept.real, kept.imag)
+    return views
 
-    ``work`` is as in ``apply_1q``.
-    """
-    _check_qubit(state, control, "control")
-    _check_qubit(state, target, "target")
-    if control == target:
-        raise ValueError("control and target must be distinct qubits")
-    _apply_2x2(state, gate, target, control, work)
+
+def _outcome_prob(state: StateVector, qubit: int, bit: int) -> float:
+    """Squared norm of the amplitudes where ``qubit`` reads ``bit``."""
+    _, _, re, im = _halves(state, qubit, bit)
+    return float(np.einsum("ij,ij->", re, re) + np.einsum("ij,ij->", im, im))
 
 
 def postselect(state: StateVector, qubit: int, outcome: int) -> float:
@@ -196,15 +249,12 @@ def postselect(state: StateVector, qubit: int, outcome: int) -> float:
     sqrt(p) times the new state.  Nothing is written when the outcome
     is degenerate.
     """
-    _check_qubit(state, qubit, "measured")
-    if outcome not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {outcome}")
+    kept, dropped, _, _ = _halves(state, qubit, outcome)
     p = _outcome_prob(state, qubit, outcome)
     if p < 1e-300:
         raise DegeneratePostselectionError(
             f"outcome {outcome} on qubit {qubit} has probability {p:.3e}")
     p = min(p, 1.0)
-    phi = state.amp.reshape(-1, 2, 2**qubit)
-    phi[:, outcome] /= math.sqrt(p)
-    phi[:, 1 - outcome] = 0
+    kept /= math.sqrt(p)
+    dropped[...] = 0
     return p

@@ -3,7 +3,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from wavesplit import statevector
 from wavesplit.circuits import (
     GATE_KINDS,
     Circuit,
@@ -244,23 +243,22 @@ def test_gate_matrices_built_once_on_first_application():
 
 @pytest.mark.parametrize("make", [lambda: qft_circuit(3),
                                   lambda: wave_evolution_circuit(ModeSystem(n=2, gamma=0.3), 0.4)])
-def test_apply_circuit_gates_share_one_scratch(monkeypatch, make):
-    # an uncontrolled RY needs twice the scratch of a controlled gate; the
-    # kernel rejects a short one, so a circuit must size it for its gates
+def test_apply_circuit_gates_share_one_scratch(make):
+    # the gates carve their scratch from one buffer on the state, sized for
+    # the largest need: twice the pair of an uncontrolled RY when there is one
     circ = make()
     amp = rng.standard_normal(2 ** circ.n_qubits) + 1j * rng.standard_normal(2 ** circ.n_qubits)
     state = StateVector.from_amplitudes(amp)
     expected = circuit_matrix(circ, circ.n_qubits) @ state.amp
-    seen = []
-    inner = statevector._scratch
-
-    def spy(state, work, size):
-        seen.append(work)
-        return inner(state, work, size)
-    monkeypatch.setattr(statevector, "_scratch", spy)
     apply_circuit(state, circ)
     assert np.max(np.abs(state.amp - expected)) < 1e-13
-    assert seen and seen[0] is not None and all(w is seen[0] for w in seen)
+    work = state._views.work
+    has_ry = any(op.kind == "RY" for op in circ.ops)
+    assert work.size == 2 ** (circ.n_qubits + has_ry)
+    views = [v for entry in state._views.values() if len(entry) > 2 for v in entry[1:]]
+    assert views and all(np.shares_memory(v, work) for v in views)
+    apply_circuit(state, circ)  # a second run carves nothing new
+    assert state._views.work is work
 
 
 def test_circuit_to_matrix_size_cap():

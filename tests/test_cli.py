@@ -168,6 +168,17 @@ def test_heavily_overdamped_run_prints_finite_numbers(capsys):
         assert math.isfinite(float(values[key]))
 
 
+def test_run_with_gamma_squared_overflowing(capsys):
+    # gamma**2 is inf: the propagator must still tell the slow mode from the fast one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["simulate", "--scheme", "bernier6", "--n", "3",
+                    "--gamma-ratio", "1e300"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "analytic_norm_ratio=1.000000" in captured.out
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "wavesplit", "gates", "--scheme", "bernier6",

@@ -57,6 +57,15 @@ def test_mode_propagator_finite_when_heavily_overdamped(omega, gamma, t):
     assert np.max(np.abs(mine - ref)) < 1e-12
 
 
+@pytest.mark.parametrize("gamma", [1e155, 1e300, 1.7e308])
+def test_mode_propagator_when_gamma_squared_overflows(gamma):
+    # the slow mode keeps its amplitude, the fast one is gone: about diag(1, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mine = mode_propagator(6.28, gamma, 0.7)
+    assert np.max(np.abs(mine - np.diag([1.0, 0.0]))) < 1e-12
+
+
 def test_mode_propagator_continuity_at_critical_branch():
     gamma = 2.0
     t = 0.9

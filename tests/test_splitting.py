@@ -18,7 +18,7 @@ from wavesplit.splitting import (
     generic_split_matrix,
     simulate,
 )
-from wavesplit.statevector import StateVector, postselect
+from wavesplit.statevector import DegeneratePostselectionError, StateVector, postselect
 
 from helpers import random_hermitian, random_neg_semidefinite, split_evolve_pairs
 
@@ -169,6 +169,26 @@ def test_build_step_rejects_a_negative_dissipative_coefficient(monkeypatch, gamm
                                          r"has a negative real part$"):
         build_step(scheme, ModeSystem(n=3, gamma=gamma), 0.1)
     assert not calls
+
+
+def test_negative_step_amplifies_a_dissipative_stage():
+    # the paper's case for complex coefficients: a real scheme above order 2
+    # needs a negative step, and on a dissipative H1 that step amplifies,
+    # by exp(|lambda_min| |a[1]| dt); no builtin stage can
+    h1 = random_neg_semidefinite(rng, 4) - 0.1 * np.eye(4)
+    dt = 0.3
+
+    def stage_norm(ai):
+        return np.linalg.norm(dense_expm(complex(ai) * h1, dt), 2)
+
+    a1 = yoshida4().a[1]
+    assert a1.real < 0
+    grow = np.exp(np.linalg.eigvalsh(h1).min() * a1.real * dt)
+    assert grow > 1.01
+    assert stage_norm(a1) == pytest.approx(grow, rel=1e-12)
+    for scheme in builtin_schemes():
+        for ai in scheme.a:
+            assert stage_norm(ai) <= 1 + 1e-14, (scheme.name, ai)
 
 
 def test_cnot_per_step_formula():
@@ -323,7 +343,7 @@ def full_width_run(plan, T, initial):
 def assert_matches_full_width(plan, T, initial):
     ref, success = full_width_run(plan, T, initial)
     report = simulate(plan, T, initial)
-    assert report.state is initial
+    assert report.state is initial and not initial._views
     assert np.array_equal(report.state.amp, ref.amp)
     assert report.success_prob == success
     return report
@@ -400,6 +420,32 @@ def test_ancilla_below_the_top_runs_full_width():
     amp[::2] = rng.standard_normal(amp.size // 2)
     initial = StateVector.from_amplitudes(amp)
     assert_matches_full_width(plan, 2, initial)
+
+
+def test_simulate_shares_one_scratch_and_releases_it(monkeypatch):
+    works = set()
+    inner = splitting.apply_circuit
+
+    def spy(state, circuit):
+        inner(state, circuit)
+        works.add((state.n_qubits, id(state._views.work)))
+    monkeypatch.setattr(splitting, "apply_circuit", spy)
+    phi, dphi = random_fields(8)
+    plan = build_step(get_scheme("strang"), ModeSystem(n=3, gamma=0.6), 0.1)
+    report = simulate(plan, 2, encode_initial(phi, dphi))
+    # full-width and half-state circuits ran, on one buffer of 2**n amplitudes
+    nq = plan.n_qubits
+    assert {w[0] for w in works} == {nq, nq - 1} and len({w[1] for w in works}) == 1
+    assert not report.state._views and report.state._views.work is None
+
+    # an ancilla flipped to |1> makes the next postselection degenerate
+    flip = Stage("damp_real", 0.0, circuits.Circuit(nq, (
+        circuits.GateOp("X", plan.layout.ancilla),)))
+    bad, _, _ = hand_built(lambda w, d, _: (d, POSTSELECT, w, flip, POSTSELECT))
+    state = encode_initial(phi, dphi)
+    with pytest.raises(DegeneratePostselectionError):
+        simulate(bad, 1, state)
+    assert not state._views and state._views.work is None
 
 
 # ----------------------------------------------------- generic dense splitting

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -126,21 +129,28 @@ MAKERS = {"RY": Gate2x2.ry, "CRY": Gate2x2.ry, "RZ": Gate2x2.rz, "P": Gate2x2.p,
           "CP": Gate2x2.p, "X": Gate2x2.x, "CNOT": Gate2x2.x}
 
 
-@pytest.mark.parametrize("op,n", list(_kernel_cases()))
-def test_kernel_fresh_and_in_place_match_dense_oracle(op, n):
-    # each run updates its own copy in place, once with fresh scratch the
-    # gate allocates and once with a caller's ``work``
-    s = random_state(n)
-    expected = gateop_matrix(op, n) @ s.amp
+def apply_op(state, op):
     maker = MAKERS[op.kind]
     gate = maker() if op.angle is None else maker(op.angle)
-    for work in (None, np.empty(2 ** (n + 1), dtype=complex)):
-        t = StateVector(n, s.amp.copy())
-        if op.control is None:
-            apply_1q(t, gate, op.target, work=work)
-        else:
-            apply_controlled(t, gate, op.control, op.target, work=work)
-        assert np.max(np.abs(t.amp - expected)) < 1e-14
+    if op.control is None:
+        apply_1q(state, gate, op.target)
+    else:
+        apply_controlled(state, gate, op.control, op.target)
+
+
+@pytest.mark.parametrize("op,n", list(_kernel_cases()))
+def test_kernel_fresh_and_in_place_match_dense_oracle(op, n):
+    # the first gate on a fresh state carves the wiring's views, the
+    # second reuses them; both update the state in place
+    s = random_state(n)
+    m = gateop_matrix(op, n)
+    once = m @ s.amp
+    amp = s.amp
+    apply_op(s, op)
+    assert np.max(np.abs(s.amp - once)) < 1e-14
+    apply_op(s, op)
+    assert s.amp is amp
+    assert np.max(np.abs(s.amp - m @ once)) < 1e-14
 
 
 @pytest.mark.parametrize("matrix", [
@@ -188,27 +198,21 @@ def test_kernel_matches_basis_oracle(draw):
     expected = embed_2x2(matrix, n, target, control) @ s.amp
     gate = Gate2x2(matrix)
 
-    def apply(state, work=None):
+    def apply(state):
         if control is None:
-            apply_1q(state, gate, target, work=work)
+            apply_1q(state, gate, target)
         else:
-            apply_controlled(state, gate, control, target, work=work)
+            apply_controlled(state, gate, control, target)
 
-    fresh = StateVector(n, s.amp.copy())  # the gate allocates its scratch
+    fresh = StateVector(n, s.amp.copy())
     apply(fresh)
     assert np.max(np.abs(fresh.amp - expected)) < 1e-13
-    # scratch a gate needs: none for a diagonal, the pair for an
-    # anti-diagonal, twice the pair for a general matrix
-    pair = 2**n if control is None else 2 ** (n - 1)
-    need = (0 if matrix[0, 1] == matrix[1, 0] == 0
-            else pair if not matrix.diagonal().any() else 2 * pair)
-    if need:
-        before = s.amp.copy()
-        with pytest.raises(ValueError):
-            apply(s, work=np.empty(need - 1, dtype=complex))
-        assert np.array_equal(s.amp, before)
-    apply(s, work=np.empty(need, dtype=complex))
+    # another state carves its own views and scratch, with the same bits;
+    # a repeat on it reuses them
+    apply(s)
     assert np.array_equal(s.amp, fresh.amp)
+    apply(s)
+    assert np.max(np.abs(s.amp - embed_2x2(matrix, n, target, control) @ expected)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -251,19 +255,20 @@ def test_postselect_in_place_matches_fresh(qubit, outcome):
     assert not np.any(s.amp[~kept])
 
 
-def test_out_and_work_must_fit_and_not_overlap():
+def test_amp_must_be_updatable_in_place():
+    # amplitudes a gate could not update in place, at construction and
+    # when assigned later; a rejected assignment keeps the old amplitudes
     s = random_state(3)
-    with pytest.raises(ValueError):
-        apply_1q(s, Gate2x2.x(), 0, work=np.empty(16))
-    with pytest.raises(ValueError):  # a general 2x2 on 3 qubits needs 16
-        apply_1q(s, Gate2x2.ry(0.3), 0, work=np.empty(8, dtype=complex))
-    with pytest.raises(ValueError):
-        apply_1q(s, Gate2x2.x(), 0, work=s.amp)
-    # amplitudes a gate could not update in place
-    for amp in (np.empty(8), np.empty(4, dtype=complex), s.amp[::-1],
-                np.empty((2, 4), dtype=complex), np.empty(16, dtype=complex)[::2]):
+    amp = s.amp
+    bad = (np.empty(8), np.empty(4, dtype=complex), s.amp[::-1],
+           np.empty((2, 4), dtype=complex), np.empty(16, dtype=complex)[::2])
+    for a in bad:
+        with pytest.raises(ValueError, match="^amp must be a 1-d C-contiguous complex array "
+                                             "of 2\\*\\*3 amplitudes$"):
+            StateVector(3, a)
         with pytest.raises(ValueError):
-            StateVector(3, amp)
+            s.amp = a
+        assert s.amp is amp
 
 
 def test_postselect_probability_and_renormalization():
@@ -299,3 +304,111 @@ def test_gate2x2_unitarity():
     for gate in (Gate2x2.ry(0.3), Gate2x2.rz(1.1), Gate2x2.p(0.5), Gate2x2.x()):
         prod = gate.matrix @ gate.matrix.conj().T
         assert np.max(np.abs(prod - np.eye(2))) < 1e-15
+
+
+# ------------------------------------------------------------ view cache
+
+
+def scratch_views(state):
+    """The scratch views of every cached gate wiring: ab, ab reversed, uv."""
+    return [v for key, entry in state._views.items() if key[0] != "half" and len(entry) > 2
+            for v in entry[1:]]
+
+
+def test_cache_hits_match_dense_oracle():
+    # a few wirings drawn over and over, so most gates reuse cached views
+    gen = np.random.default_rng(11)
+    n = 4
+    ops = [GateOp("RY", 0, angle=0.3), GateOp("X", 3), GateOp("P", 2, angle=-0.8),
+           GateOp("CRY", 1, 3, 1.1), GateOp("CNOT", 3, 0), GateOp("CP", 0, 2, 0.4),
+           GateOp("RZ", 1, angle=2.2), GateOp("CRY", 2, 1, -0.6)]
+    s = random_state(n)
+    expected = s.amp.copy()
+    amp = s.amp
+    for i in gen.integers(len(ops), size=200):
+        apply_op(s, ops[i])
+        expected = gateop_matrix(ops[i], n) @ expected
+    assert s.amp is amp
+    assert np.max(np.abs(s.amp - expected)) < 1e-13
+    assert 0 < len(s._views) <= len(ops)
+
+
+def test_reassigned_amp_gets_fresh_views():
+    s = random_state(3)
+    ops = [GateOp("CRY", 2, 0, 0.7), GateOp("RY", 1, angle=0.4), GateOp("P", 0, angle=1.3)]
+    for op in ops:
+        apply_op(s, op)
+    postselect(s, 2, 0)
+    old = s.amp
+    kept = old.copy()
+    s.amp = random_state(3).amp
+    assert not s._views
+    expected = s.amp.copy()
+    for op in ops:
+        expected = gateop_matrix(op, 3) @ expected
+        apply_op(s, op)
+    kept_p = float(np.sum(np.abs(expected[:4]) ** 2))
+    assert postselect(s, 2, 0) == pytest.approx(kept_p, rel=1e-14)
+    expected[4:] = 0
+    assert np.max(np.abs(s.amp - expected / np.sqrt(kept_p))) < 1e-14
+    assert np.array_equal(old, kept)
+    assert not any(np.shares_memory(v, old) for entry in s._views.values() for v in entry)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda s: apply_1q(s, Gate2x2.ry(0.2), 3), "target qubit 3 out of range for 3 qubits"),
+    (lambda s: apply_1q(s, Gate2x2.x(), -1), "target qubit -1 out of range for 3 qubits"),
+    (lambda s: apply_controlled(s, Gate2x2.x(), 3, 0), "control qubit 3 out of range for 3 qubits"),
+    (lambda s: apply_controlled(s, Gate2x2.ry(0.2), 0, 5), "target qubit 5 out of range for 3 qubits"),
+    (lambda s: apply_controlled(s, Gate2x2.p(0.2), 1, 1), "control and target must be distinct qubits"),
+    (lambda s: postselect(s, 3, 0), "measured qubit 3 out of range for 3 qubits"),
+    (lambda s: postselect(s, 1, 2), "outcome must be 0 or 1, got 2"),
+])
+def test_bad_wiring_raises_the_same_message_every_call(call, message):
+    s = random_state(3)
+    apply_controlled(s, Gate2x2.ry(0.2), 0, 1)  # a valid wiring is cached
+    before = s.amp.copy()
+    cached = dict(s._views)
+    for _ in range(3):
+        with pytest.raises(ValueError) as err:
+            call(s)
+        assert str(err.value) == message
+        assert s._views == cached and np.array_equal(s.amp, before)
+
+
+def test_cached_views_share_one_scratch():
+    # needs grow from none (diagonal) to the pair (anti-diagonal) to twice
+    # the pair of a controlled and then of a single-qubit general gate
+    s = random_state(4)
+    ops = [GateOp("P", 1, angle=0.3), GateOp("CNOT", 0, 2), GateOp("CRY", 3, 1, 0.5),
+           GateOp("X", 2), GateOp("RY", 0, angle=0.9), GateOp("CRY", 1, 0, 0.2)]
+    expected = s.amp.copy()
+    seen = []
+    for op in ops:
+        apply_op(s, op)
+        expected = gateop_matrix(op, 4) @ expected
+        seen.append(s._views.work)
+    assert [None if w is None else w.size for w in seen] == [None, 8, 16, 16, 32, 32]
+    # growing the buffer dropped the entries carved from the smaller one
+    assert set(s._views) == {(0, "general"), (1, 0, "general")}
+    for op in ops:  # the dropped wirings are carved again, from the one buffer
+        apply_op(s, op)
+        expected = gateop_matrix(op, 4) @ expected
+    assert np.max(np.abs(s.amp - expected)) < 1e-13
+    work = s._views.work
+    assert work is seen[-1] and len(s._views) == len(ops)
+    views = scratch_views(s)
+    assert len(views) == 3 * 3 + 2 * 2  # three general wirings, and two anti-diagonal
+    assert all(np.shares_memory(v, work) and not np.shares_memory(v, s.amp) for v in views)
+
+
+def test_copies_of_a_state_do_not_share_views():
+    s = random_state(3)
+    apply_op(s, GateOp("CRY", 0, 2, 0.4))
+    for t in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert not t._views and np.array_equal(t.amp, s.amp)
+        expected = gateop_matrix(GateOp("CRY", 0, 2, 0.4), 3) @ t.amp
+        before = s.amp.copy()
+        apply_op(t, GateOp("CRY", 0, 2, 0.4))
+        assert np.max(np.abs(t.amp - expected)) < 1e-14
+        assert np.array_equal(s.amp, before)
