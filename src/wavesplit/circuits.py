@@ -110,7 +110,8 @@ class Circuit:
     def gates(self) -> tuple[Gate2x2, ...]:
         """One gate matrix per op, built on first use: plans that are only
         counted, never applied, do not pay for them."""
-        return tuple(_op_gate(op) for op in self.ops)
+        table: dict = {}
+        return tuple(_op_gate(op, table) for op in self.ops)
 
 
 @dataclass(frozen=True)
@@ -154,25 +155,27 @@ class ModeSystem:
 
     def omegas(self) -> np.ndarray:
         idx = np.arange(self.n_modes)
-        wrap = np.where(idx < self.n_modes // 2, idx, self.n_modes - idx)
-        return 2.0 * math.pi * self.c / self.L * wrap.astype(float)
+        return 2.0 * math.pi * self.c / self.L * np.minimum(idx, self.n_modes - idx).astype(float)
 
-    def mode_frequencies(self) -> np.ndarray:
-        """Per-mode frequency over the flattened d-dimensional index.
-
-        Flattening puts axis 0 in the lowest data qubits, so the flat
-        index is j0 + N*j1 + N**2*j2.
-        """
-        om = self.omegas()
-        if self.d == 1:
-            return om
-        N = self.n_modes
-        total = np.zeros((N,) * self.d)
+    def frequency_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (N/2 + 1)**d distinct mode frequencies, one per tuple of
+        wrapped indices min(j, N - j) summed over axes 0, 1, 2 in order,
+        and the flat index (j0 + N*j1 + N**2*j2, axis 0 in the lowest data
+        qubits) such that ``grid[index]`` is every mode's frequency."""
+        N, h = self.n_modes, self.n_modes // 2 + 1
+        om, idx = self.omegas()[:h], np.arange(N)
+        grid, index = np.zeros((h,) * self.d), np.zeros((N,) * self.d, dtype=np.intp)
         for k in range(self.d):
             shape = [1] * self.d
-            shape[k] = N
-            total = total + om.reshape(shape)
-        return total.ravel(order="F")
+            shape[k] = -1
+            grid = grid + om.reshape(shape)
+            index = index + (np.minimum(idx, N - idx) * h**k).reshape(shape)
+        return grid.ravel(order="F"), index.ravel(order="F")
+
+    def mode_frequencies(self) -> np.ndarray:
+        """Per-mode frequency over the flattened d-dimensional index."""
+        grid, index = self.frequency_grid()
+        return grid[index]
 
     def layout(self) -> RegisterLayout:
         return RegisterLayout.standard(self.n, self.d)
@@ -247,14 +250,27 @@ def damping_phase_gate(gamma_im_dt: float, layout: RegisterLayout) -> Circuit:
     return Circuit(layout.n_qubits, (GateOp("P", layout.selector, None, -gamma_im_dt),))
 
 
-def _op_gate(op: GateOp) -> Gate2x2:
-    if op.kind in ("RY", "CRY"):
-        return Gate2x2.ry(op.angle)
-    if op.kind == "RZ":
-        return Gate2x2.rz(op.angle)
-    if op.kind in ("P", "CP"):
-        return Gate2x2.p(op.angle)
-    return Gate2x2.x()
+# the matrix family of each kind: a controlled gate shares its plain form's
+_FAMILY = {"RY": "ry", "CRY": "ry", "RZ": "rz", "P": "p", "CP": "p", "X": "x", "CNOT": "x"}
+
+
+def _op_gate(op: GateOp, table: dict) -> Gate2x2:
+    # keyed by the angle's exact bits, so 0.0 and -0.0 stay apart
+    family = _FAMILY[op.kind]
+    key = (family, None if op.angle is None else float(op.angle).hex())
+    gate = table.get(key)
+    if gate is None:
+        make = getattr(Gate2x2, family)
+        gate = table[key] = make() if op.angle is None else make(op.angle)
+    return gate
+
+
+def share_gates(circuits) -> None:
+    """Give every circuit its ``gates`` from one table: one Gate2x2 per
+    distinct (matrix family, angle) across all of them."""
+    table: dict = {}
+    for circuit in circuits:
+        vars(circuit)["gates"] = tuple(_op_gate(op, table) for op in circuit.ops)
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> None:

@@ -28,6 +28,12 @@ def _steps_list(text: str) -> list[int]:
             f"expected comma-separated integers, got {text!r}") from None
 
 
+def _seed(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {text}")
+    return int(text)
+
+
 def _add_problem_args(p: argparse.ArgumentParser, n_default: int,
                       t_default: float) -> None:
     p.add_argument("--scheme", required=True,
@@ -73,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate-schemes", help="check coefficient tables")
 
     p = sub.add_parser("selftest", help="run the oracle-equivalence suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     return parser
 
@@ -82,6 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
 # state-sized arrays of 16 * 2**qubits bytes (3.9 under tracemalloc at
 # 18 qubits), about 4 GiB at 26 qubits.
 MAX_QUBITS = 26
+# Most steps a simulate or sweep run may take, so that every accepted run ends.
+MAX_STEPS = 10**6
 
 
 def _check_ranges(args) -> str | None:
@@ -94,8 +102,10 @@ def _check_ranges(args) -> str | None:
         return (f"--n {args.n} --d {args.d} needs {args.n * args.d + 2} qubits; "
                 f"the statevector is capped at {MAX_QUBITS}")
     steps = getattr(args, "steps", None)
-    if steps is not None and steps < 1:
-        return "--steps must be at least 1"
+    if steps is not None and not 1 <= steps <= MAX_STEPS:
+        return f"--steps must be in 1..{MAX_STEPS}"
+    if any(not 1 <= T <= MAX_STEPS for T in getattr(args, "steps_list", None) or ()):
+        return f"--steps-list entries must be in 1..{MAX_STEPS}"
     # nan and +inf reach ModeSystem's own check, which exits 1
     if getattr(args, "gamma_ratio", 0.0) < 0:
         return "--gamma-ratio must be nonnegative"

@@ -10,6 +10,10 @@ Each mode pairs a displacement coefficient u with a scaled velocity
 v (the time derivative divided by the mode frequency).  The per-mode
 generator is [[0, w], [-w, 0]] plus diag(0, -gamma), whose exponential
 has the closed form implemented by ``mode_propagator``.
+
+``exact_solution`` evaluates it once per distinct wrapped frequency
+(``ModeSystem.frequency_grid``) and gathers the entries over the modes,
+bit for bit; ``spectral_pairs`` does not transform a zero velocity field.
 """
 
 from __future__ import annotations
@@ -147,7 +151,8 @@ def spectral_pairs(phi, dphi_scaled) -> ModePairs:
             raise ValueError("each axis length must be a power of two, >= 2")
     root = math.sqrt(p.size)
     u = (np.fft.ifftn(p) * root).ravel(order="F")
-    v = (np.fft.ifftn(w) * root).ravel(order="F")
+    # a zero field transforms to zeros; nan and inf are nonzero and transform
+    v = (np.fft.ifftn(w) * root).ravel(order="F") if w.any() else np.zeros(p.size, complex)
     vmax = float(np.max(np.abs(v))) if v.size else 0.0
     if vmax > 0 and abs(v[0]) > 1e-10 * vmax:
         raise ValueError("zero-frequency mode carries velocity; it cannot be "
@@ -201,10 +206,10 @@ def exact_solution(sys: ModeSystem, pairs: ModePairs, t: float):
     Returns (unnormalized, unit) concatenated (u, v) vectors of length
     2 * n_modes, matching the encoded layout without the ancilla.
     """
-    freqs = sys.mode_frequencies()
-    if freqs.size != pairs.n_modes:
-        raise ValueError(f"system has {freqs.size} modes, pairs carry {pairs.n_modes}")
-    m00, m01, m10, m11 = _propagator_entries(freqs, sys.gamma, t)
+    grid, index = sys.frequency_grid()
+    if index.size != pairs.n_modes:
+        raise ValueError(f"system has {index.size} modes, pairs carry {pairs.n_modes}")
+    m00, m01, m10, m11 = (m[index] for m in _propagator_entries(grid, sys.gamma, t))
     u = m00 * pairs.u + m01 * pairs.v
     v = m10 * pairs.u + m11 * pairs.v
     full = np.concatenate([u, v])

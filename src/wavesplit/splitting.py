@@ -13,6 +13,9 @@ parameter nor a circuit.  Complex dissipative coefficients factor
 exactly into a real contraction and a phase, exp(D a dt) ==
 exp(D Re(a) dt) exp(i D Im(a) dt), because the dissipative generator is
 diagonal.  Phase stages with |Im(a)| < 1e-15 are omitted.
+
+``build_step`` builds no gate matrix; a plan's first ``simulate`` builds
+one Gate2x2 per distinct (matrix family, angle) for all its circuits.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .circuits import (Circuit, ModeSystem, RegisterLayout, apply_circuit,
                        cnot_count, damping_phase_gate, damping_real_circuit,
-                       wave_evolution_circuit)
+                       share_gates, wave_evolution_circuit)
 from .reference import dense_expm
 from .schemes import SplittingScheme
 from .statevector import StateVector, _outcome_prob, _shared_work, postselect
@@ -75,7 +78,7 @@ class SplitStepPlan:
         else a circuit.  From an ancilla postselection until a circuit acts
         on the ancilla, its |1> half is exactly zero; while the ancilla is
         the top qubit, the circuits in between run on the lower half alone,
-        as copies of themselves one qubit narrower."""
+        as copies of themselves one qubit narrower.  All share one gate table."""
         anc, n = self.layout.ancilla, self.n_qubits
         out, clear = [], False
         for st in self.stages:
@@ -86,6 +89,7 @@ class SplitStepPlan:
             ops = st.circuit.ops
             clear = clear and all(anc not in (op.target, op.control) for op in ops)
             out.append(Circuit(n - 1, ops) if clear and anc == n - 1 else st.circuit)
+        share_gates(c for c in out if c is not None)
         return tuple(out)
 
     def stage_counts(self) -> dict[str, int]:

@@ -79,14 +79,15 @@ class _Views(dict):
         return _Views, ()
 
 
-@dataclass
+@dataclass(eq=False)
 class StateVector:
     """``amp`` is the 1-d C-contiguous complex array of 2**n_qubits
     amplitudes that gates update in place.  Any other array is rejected:
     a reshape of it could be a copy, and a gate would update that copy.
 
     ``_views`` caches the state's pair views and scratch by wiring; it is
-    not a field, and assigning ``amp`` or ``n_qubits`` starts it afresh."""
+    not a field, and assigning ``amp`` or ``n_qubits`` starts it afresh.
+    States compare by identity."""
 
     n_qubits: int
     amp: np.ndarray = field(repr=False)

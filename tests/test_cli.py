@@ -7,7 +7,10 @@ import subprocess
 import sys
 import warnings
 
-from wavesplit.cli import run
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from wavesplit.cli import MAX_STEPS, run
 
 
 def test_gates_known_budget(capsys):
@@ -114,6 +117,36 @@ def test_steps_list_exit_codes(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_step_counts_below_one_are_usage_errors(capsys):
+    # a zero step count once reached run_case's t_final / steps
+    for steps in ("0,1,2", "-1,1,2"):
+        assert run(["sweep", "--scheme", "lie", "--n", "3", "--steps-list=" + steps]) == 2
+        assert "--steps-list entries must be in 1..1000000" in capsys.readouterr().err
+    assert run(["simulate", "--scheme", "lie", "--n", "3", "--steps=-3"]) == 2
+    assert "--steps must be in 1..1000000" in capsys.readouterr().err
+
+
+def test_step_counts_are_capped(capsys):
+    assert MAX_STEPS == 10**6
+    base = ["sweep", "--scheme", "lie", "--n", "3", "--steps-list"]
+    assert run(base + ["1,2,100000000000000000000"]) == 2
+    assert run(base + [f"1,2,{MAX_STEPS + 1}"]) == 2
+    assert run(["simulate", "--scheme", "lie", "--n", "3", "--steps", f"{MAX_STEPS + 1}"]) == 2
+    assert capsys.readouterr().err.count(f"1..{MAX_STEPS}") == 3
+
+
+def test_negative_seed_is_a_usage_error(capsys):
+    assert run(["selftest", "--seed=-1"]) == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
+
+
+def test_overflowing_center_exits_without_a_warning(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["simulate", "--scheme", "lie", "--n", "3", "--center", "1e300"]) == 1
+    assert "cannot encode a zero initial state" in capsys.readouterr().err
+
+
 def test_non_finite_profile_exit_code(capsys):
     # a nan width or center makes a nan profile: a domain error, not a nan result
     assert run(["simulate", "--scheme", "lie", "--n", "3", "--width", "nan"]) == 1
@@ -186,3 +219,43 @@ def test_console_entry_point():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "per_step_cnots=302" in proc.stdout
+
+
+SCHEMES = ["lie", "strang", "castella4", "bernier6"]
+FLOATS = st.sampled_from([0.0, 0.5, 3.0, -1.0, 1e300, -1e300, math.nan, math.inf, -math.inf])
+COUNTS = st.one_of(st.sampled_from([-1, 0, 1, 2]), st.integers(-2, 64))
+
+
+@st.composite
+def argv(draw, output):
+    command = draw(st.sampled_from(["simulate", "sweep", "sweep", "gates",
+                                    "validate-schemes", "selftest"]))
+    if command == "validate-schemes":
+        return [command]
+    if command == "selftest":
+        return [command, f"--seed={draw(st.integers(-3, 3))}"]
+    d = draw(st.integers(-1, 3))
+    n = draw(st.integers(-1, 6 // max(d, 1)))
+    args = [command, "--scheme", draw(st.sampled_from(SCHEMES)), f"--n={n}", f"--d={d}"]
+    if command == "gates":
+        return args
+    for flag in ("--gamma-ratio", "--t-final", "--width", "--center"):
+        if draw(st.booleans()):
+            args.append(f"{flag}={draw(FLOATS)!r}")
+    if command == "simulate":
+        args.append(f"--steps={draw(COUNTS)}")
+    elif draw(st.booleans()):
+        counts = draw(st.one_of(st.lists(COUNTS, min_size=3, max_size=4, unique=True).map(sorted),
+                                st.lists(COUNTS, min_size=1, max_size=4)))
+        args.append("--steps-list=" + ",".join(map(str, counts)))
+    if draw(st.booleans()):
+        args.append(f"--output={output}")
+    return args
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_small_command_line_exits_cleanly(tmp_path, data):
+    args = data.draw(argv(tmp_path / "out.csv"))
+    assert run(args) in (0, 1, 2)

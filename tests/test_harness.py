@@ -87,6 +87,12 @@ def test_run_case_fields():
     assert abs(report.success_prob - np.linalg.norm(expected) ** 2) < 1e-10
 
 
+def test_run_case_rejects_no_steps():
+    for steps in (0, -2):
+        with pytest.raises(ValueError, match="need at least one step"):
+            run_case(get_scheme("lie"), ModeSystem(n=3, gamma=0.5), 0.43, steps)
+
+
 def test_state_error_matches_padded_reference():
     state = StateVector.from_amplitudes(rng.standard_normal(32) + 1j * rng.standard_normal(32))
     exact = rng.standard_normal(16) + 1j * rng.standard_normal(16)

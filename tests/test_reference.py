@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import math
 import warnings
 
 import numpy as np
@@ -9,6 +11,7 @@ import scipy.linalg
 from wavesplit.circuits import ModeSystem
 from wavesplit.reference import (
     ModePairs,
+    _propagator_entries,
     decode_state,
     dense_expm,
     encode_initial,
@@ -180,6 +183,38 @@ def test_spectral_pairs_multidim():
     assert pairs.u[4] == pytest.approx(spectrum[0, 1], abs=1e-13)
 
 
+def test_zero_velocity_skips_its_transform(monkeypatch):
+    ifftn = np.fft.ifftn
+    calls = []
+
+    def counting(a, *args, **kwargs):
+        calls.append(None)
+        return ifftn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifftn", counting)
+    for shape in [(8,), (4, 4), (4, 2, 8)]:
+        phi = rng.standard_normal(shape)
+        zero = np.zeros(shape)
+        calls.clear()
+        pairs = spectral_pairs(phi, zero)
+        assert len(calls) == 1
+        root = math.sqrt(phi.size)
+        assert np.array_equal(pairs.u, (ifftn(phi) * root).ravel(order="F"))
+        transformed = (ifftn(zero.astype(complex)) * root).ravel(order="F")
+        assert pairs.v.dtype == transformed.dtype and np.array_equal(pairs.v, transformed)
+    # a nonzero velocity, nan or inf included, is transformed
+    for value in (1e-300, math.nan, math.inf):
+        dphi = np.zeros(8)
+        dphi[3], dphi[5] = value, -value
+        calls.clear()
+        with contextlib.suppress(ValueError), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            spectral_pairs(np.ones(8), dphi)
+        assert len(calls) == 2
+    with pytest.raises(ValueError, match="zero-frequency mode carries velocity"):
+        spectral_pairs(np.ones(8), np.ones(8))
+
+
 # ------------------------------------------------------------ encode / decode
 
 
@@ -260,3 +295,43 @@ def test_exact_solution_matches_per_mode_propagator():
         out = prop @ np.array([start[j], start[j + 8]])
         assert abs(full[j] - out[0]) < 1e-13
         assert abs(full[j + 8] - out[1]) < 1e-13
+
+
+def per_mode_frequencies(sys: ModeSystem) -> np.ndarray:
+    """Every mode's frequency as the axis sum over all N**d modes, axes
+    added in order 0, 1, 2."""
+    om, N = sys.omegas(), sys.n_modes
+    total = np.zeros((N,) * sys.d)
+    for k in range(sys.d):
+        shape = [1] * sys.d
+        shape[k] = N
+        total = total + om.reshape(shape)
+    return total.ravel(order="F")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_exact_solution_is_the_per_mode_propagator_bit_for_bit(n, d):
+    # the propagator is evaluated once per distinct wrapped frequency and
+    # gathered; every mode must keep the bits of a per-mode evaluation
+    base = ModeSystem(n=n, d=d)
+    freqs = base.mode_frequencies()
+    assert freqs.tobytes() == per_mode_frequencies(base).tobytes()
+    size = freqs.size
+    pairs = ModePairs(rng.standard_normal(size) + 1j * rng.standard_normal(size),
+                      rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    critical = 2 * base.omegas()[1]  # mode 1 sits exactly on the critical branch
+    for gamma in (0.0, 0.5, 3.0, 100.0, 1e200, critical):
+        sys_ = ModeSystem(n=n, d=d, gamma=gamma)
+        m00, m01, m10, m11 = _propagator_entries(freqs, gamma, 0.7)
+        expected = np.concatenate([m00 * pairs.u + m01 * pairs.v,
+                                   m10 * pairs.u + m11 * pairs.v])
+        full, unit = exact_solution(sys_, pairs, 0.7)
+        assert full.tobytes() == expected.tobytes()
+        assert unit.tobytes() == (expected / float(np.linalg.norm(expected))).tobytes()
+
+
+def test_exact_solution_size_mismatch_message():
+    pairs = ModePairs(np.ones(8, dtype=complex), np.zeros(8, dtype=complex))
+    with pytest.raises(ValueError, match=r"^system has 16 modes, pairs carry 8$"):
+        exact_solution(ModeSystem(n=2, d=2), pairs, 0.3)

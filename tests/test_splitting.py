@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from wavesplit import circuits, splitting
+from wavesplit import circuits, harness, splitting
 from wavesplit.circuits import ModeSystem
 from wavesplit.reference import dense_expm, encode_initial, spectral_pairs
 from wavesplit.schemes import SplittingScheme, builtin_schemes, get_scheme, validate_scheme
@@ -18,7 +18,8 @@ from wavesplit.splitting import (
     generic_split_matrix,
     simulate,
 )
-from wavesplit.statevector import DegeneratePostselectionError, StateVector, postselect
+from wavesplit.statevector import (DegeneratePostselectionError, Gate2x2, StateVector,
+                                   apply_1q, apply_controlled, postselect)
 
 from helpers import random_hermitian, random_neg_semidefinite, split_evolve_pairs
 
@@ -446,6 +447,64 @@ def test_simulate_shares_one_scratch_and_releases_it(monkeypatch):
     with pytest.raises(DegeneratePostselectionError):
         simulate(bad, 1, state)
     assert not state._views and state._views.work is None
+
+
+# ------------------------------------------------------ one gate table a plan
+
+
+def scheduled_gates(plan):
+    return [g for c in plan._schedule if c is not None for g in c.gates]
+
+
+def test_plan_builds_one_gate_per_distinct_angle():
+    # bernier6's b is palindromic and the three axes' ladders share angles
+    plan = build_step(get_scheme("bernier6"), ModeSystem(n=5, d=3, gamma=0.5), 0.7)
+    gates = scheduled_gates(plan)
+    assert len(gates) == 392 and len({id(g) for g in gates}) == 73
+    # a second plan builds its own table
+    again = build_step(get_scheme("bernier6"), ModeSystem(n=5, d=3, gamma=0.5), 0.7)
+    assert not {id(g) for g in gates} & {id(g) for g in scheduled_gates(again)}
+
+
+def test_plans_build_no_gates_until_run(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a gate matrix was built")
+
+    for family in ("ry", "rz", "p", "x"):
+        monkeypatch.setattr(Gate2x2, family, refuse)
+    for scheme in builtin_schemes():
+        for d in (1, 2, 3):
+            plan = build_step(scheme, ModeSystem(n=3, d=d, gamma=0.5), 0.1)
+            assert all("gates" not in vars(st.circuit)
+                       for st in plan.stages if st.circuit is not None)
+            harness.gate_report(scheme, 3, d)
+
+
+FRESH = {"RY": Gate2x2.ry, "CRY": Gate2x2.ry, "P": Gate2x2.p, "CP": Gate2x2.p,
+         "RZ": Gate2x2.rz}
+
+
+@pytest.mark.parametrize("name,d", [("strang", 1), ("castella4", 2), ("bernier6", 3)])
+def test_shared_gates_match_fresh_gates(name, d):
+    n = 3 if d == 1 else 2
+    phi, dphi = random_fields(2**n, d)
+    plan = build_step(get_scheme(name), ModeSystem(n=n, d=d, gamma=0.6), 0.07)
+    initial = encode_initial(phi, dphi)
+    state, anc, T = StateVector(initial.n_qubits, initial.amp.copy()), plan.layout.ancilla, 2
+    success = 1.0
+    for _ in range(T):
+        for st in plan.stages:
+            if st.circuit is None:
+                success *= postselect(state, anc, 0)
+            for op in st.circuit.ops if st.circuit is not None else ():
+                gate = Gate2x2.x() if op.angle is None else FRESH[op.kind](op.angle)
+                if op.control is None:
+                    apply_1q(state, gate, op.target)
+                else:
+                    apply_controlled(state, gate, op.control, op.target)
+    report = simulate(plan, T, initial)
+    assert np.array_equal(report.state.amp, state.amp)
+    assert report.success_prob == success
 
 
 # ----------------------------------------------------- generic dense splitting

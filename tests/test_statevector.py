@@ -412,3 +412,11 @@ def test_copies_of_a_state_do_not_share_views():
         apply_op(t, GateOp("CRY", 0, 2, 0.4))
         assert np.max(np.abs(t.amp - expected)) < 1e-14
         assert np.array_equal(s.amp, before)
+
+
+def test_states_compare_by_identity():
+    # the generated == compared the amp arrays inside a tuple and raised
+    s = random_state(3)
+    assert s == s
+    assert (s == StateVector(3, s.amp.copy())) is False
+    assert s != StateVector(3, s.amp.copy())
