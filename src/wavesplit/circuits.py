@@ -1,9 +1,13 @@
 """Gate-level circuits for spectral damped-wave evolution.
 
-Gate vocabulary is deliberately small: RY, RZ, P, X plus their
-controlled forms CNOT, CRY, CP.  Cost accounting is in CNOT
-equivalents, with each controlled rotation worth two CNOTs (the
-standard two-CNOT decomposition) and plain rotations worth zero.
+Gate vocabulary is deliberately small: RY, P, X plus their controlled
+forms CRY, CP, CNOT.  Cost accounting is in CNOT equivalents, with each
+controlled rotation worth two CNOTs (the standard two-CNOT
+decomposition) and plain rotations worth zero.
+
+Every circuit uses one register layout (``ModeSystem``): the n*d data
+qubits first, dimension by dimension, then the selector qubit, then the
+damping ancilla on top.
 
 The wave evolution circuit realizes, on one dimension's data register
 plus the shared selector qubit, the block-diagonal rotation
@@ -34,10 +38,12 @@ import numpy as np
 
 from .statevector import Gate2x2, StateVector, apply_1q, apply_controlled
 
-GATE_KINDS = ("RY", "RZ", "P", "X", "CNOT", "CRY", "CP")
-_NEEDS_ANGLE = {"RY", "RZ", "P", "CRY", "CP"}
-_NEEDS_CONTROL = {"CNOT", "CRY", "CP"}
-CNOT_COST = {"RY": 0, "RZ": 0, "P": 0, "X": 0, "CNOT": 1, "CRY": 2, "CP": 2}
+# kind -> (Gate2x2 constructor, CNOT cost).  A controlled kind shares its
+# plain form's constructor and is exactly a kind that costs CNOTs; every
+# constructor but ``x`` takes an angle.
+_KINDS = {"RY": ("ry", 0), "P": ("p", 0), "X": ("x", 0),
+          "CNOT": ("x", 1), "CRY": ("ry", 2), "CP": ("p", 2)}
+GATE_KINDS = tuple(_KINDS)
 
 _MATRIX_QUBIT_CAP = 12
 
@@ -54,43 +60,19 @@ def _check_wiring(n_qubits: int, kind: str, target: int, control: int | None) ->
     """Raise on a wiring that does not fit ``n_qubits``, else tell whether
     the kind takes an angle.  A plan repeats a few wirings many times, so
     each is checked once; a rejection raises and is never cached."""
-    if kind not in GATE_KINDS:
+    if kind not in _KINDS:
         raise ValueError(f"unknown gate kind {kind!r}")
+    family, cost = _KINDS[kind]
     if not 0 <= target < n_qubits:
         raise ValueError(f"target {target} out of range")
-    if kind in _NEEDS_CONTROL:
+    if cost:
         if control is None or not 0 <= control < n_qubits:
             raise ValueError(f"{kind} needs an in-range control qubit")
         if control == target:
             raise ValueError("control equals target")
     elif control is not None:
         raise ValueError(f"{kind} takes no control qubit")
-    return kind in _NEEDS_ANGLE
-
-
-@dataclass(frozen=True)
-class RegisterLayout:
-    """Qubit indices for the data registers, selector and ancilla."""
-
-    data: tuple[tuple[int, ...], ...]
-    selector: int
-    ancilla: int
-
-    @classmethod
-    def standard(cls, n: int, d: int = 1) -> "RegisterLayout":
-        data = tuple(tuple(range(k * n, (k + 1) * n)) for k in range(d))
-        return cls(data, n * d, n * d + 1)
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.data) * len(self.data[0]) + 2
-
-    def __post_init__(self):
-        flat = [q for reg in self.data for q in reg] + [self.selector, self.ancilla]
-        if len(set(flat)) != len(flat):
-            raise ValueError("register layout assigns one qubit to two roles")
-        if self.data and len({len(reg) for reg in self.data}) != 1:
-            raise ValueError("data registers must share one width")
+    return family != "x"
 
 
 @dataclass(frozen=True)
@@ -150,8 +132,18 @@ class ModeSystem:
         return 2**self.n
 
     @property
+    def selector(self) -> int:
+        """The qubit above the n*d data qubits: |0> holds u, |1> holds v."""
+        return self.n * self.d
+
+    @property
+    def ancilla(self) -> int:
+        """The damping ancilla on top: its |0> half is the lower half."""
+        return self.n * self.d + 1
+
+    @property
     def n_qubits(self) -> int:
-        return self.n * self.d + 2
+        return self.ancilla + 1
 
     def omegas(self) -> np.ndarray:
         idx = np.arange(self.n_modes)
@@ -176,9 +168,6 @@ class ModeSystem:
         """Per-mode frequency over the flattened d-dimensional index."""
         grid, index = self.frequency_grid()
         return grid[index]
-
-    def layout(self) -> RegisterLayout:
-        return RegisterLayout.standard(self.n, self.d)
 
 
 def qft_circuit(n: int) -> Circuit:
@@ -205,9 +194,9 @@ def qft_circuit(n: int) -> Circuit:
     return Circuit(n, tuple(ops))
 
 
-def wave_evolution_circuit(sys: ModeSystem, tau: float, dim: int = 0,
-                           layout: RegisterLayout | None = None) -> Circuit:
-    """Spectral wave evolution over dimensionless time tau = zeta * t.
+def wave_evolution_circuit(sys: ModeSystem, tau: float, dim: int = 0) -> Circuit:
+    """Spectral wave evolution over dimensionless time tau = zeta * t, on
+    data register ``dim`` (qubits dim*n .. dim*n + n - 1) and the selector.
 
     Exact in time: composing k circuits built with tau/k equals the
     single circuit built with tau.  Uses 2n + 4 CNOT equivalents.
@@ -216,18 +205,16 @@ def wave_evolution_circuit(sys: ModeSystem, tau: float, dim: int = 0,
         raise ValueError("tau must be finite")
     if not 0 <= dim < sys.d:
         raise ValueError(f"dimension {dim} out of range for d={sys.d}")
-    if layout is None:
-        layout = sys.layout()
-    data = layout.data[dim]
-    sel = layout.selector
+    data = range(dim * sys.n, (dim + 1) * sys.n)
+    sel = sys.selector
     top = data[-1]
     flip = GateOp("CNOT", sel, top)
     ladder = [GateOp("CRY", sel, q, -(2.0**r) * tau) for r, q in enumerate(data)]
-    return Circuit(layout.n_qubits, (
-        flip, *ladder, flip, GateOp("CRY", sel, top, -(2.0 ** len(data)) * tau)))
+    return Circuit(sys.n_qubits, (
+        flip, *ladder, flip, GateOp("CRY", sel, top, -(2.0**sys.n) * tau)))
 
 
-def damping_real_circuit(gamma_dt: float, layout: RegisterLayout) -> Circuit:
+def damping_real_circuit(gamma_dt: float, sys: ModeSystem) -> Circuit:
     """Contraction exp(-gamma_dt) of selector-|1> amplitudes, via the ancilla.
 
     The circuit alone is unitary; the contraction appears after
@@ -236,10 +223,10 @@ def damping_real_circuit(gamma_dt: float, layout: RegisterLayout) -> Circuit:
     if not math.isfinite(gamma_dt) or gamma_dt < 0:
         raise ValueError("dissipative stage needs a nonnegative finite argument")
     angle = 2.0 * math.acos(math.exp(-gamma_dt))
-    return Circuit(layout.n_qubits, (GateOp("CRY", layout.ancilla, layout.selector, angle),))
+    return Circuit(sys.n_qubits, (GateOp("CRY", sys.ancilla, sys.selector, angle),))
 
 
-def damping_phase_gate(gamma_im_dt: float, layout: RegisterLayout) -> Circuit:
+def damping_phase_gate(gamma_im_dt: float, sys: ModeSystem) -> Circuit:
     """Phase rotation exp(-i * gamma_im_dt) of selector-|1> amplitudes.
 
     Emitted as a plain P gate on the selector (no global-phase
@@ -247,16 +234,13 @@ def damping_phase_gate(gamma_im_dt: float, layout: RegisterLayout) -> Circuit:
     """
     if not math.isfinite(gamma_im_dt):
         raise ValueError("phase stage needs a finite argument")
-    return Circuit(layout.n_qubits, (GateOp("P", layout.selector, None, -gamma_im_dt),))
-
-
-# the matrix family of each kind: a controlled gate shares its plain form's
-_FAMILY = {"RY": "ry", "CRY": "ry", "RZ": "rz", "P": "p", "CP": "p", "X": "x", "CNOT": "x"}
+    return Circuit(sys.n_qubits, (GateOp("P", sys.selector, None, -gamma_im_dt),))
 
 
 def _op_gate(op: GateOp, table: dict) -> Gate2x2:
-    # keyed by the angle's exact bits, so 0.0 and -0.0 stay apart
-    family = _FAMILY[op.kind]
+    # keyed by the matrix family and the angle's exact bits, so 0.0 and
+    # -0.0 stay apart
+    family = _KINDS[op.kind][0]
     key = (family, None if op.angle is None else float(op.angle).hex())
     gate = table.get(key)
     if gate is None:
@@ -303,7 +287,7 @@ def circuit_to_matrix(circuit: Circuit) -> np.ndarray:
 
 
 def cnot_count(circuit: Circuit) -> int:
-    return sum(CNOT_COST[op.kind] for op in circuit.ops)
+    return sum(_KINDS[op.kind][1] for op in circuit.ops)
 
 
 def circuit_dump(circuit: Circuit) -> str:

@@ -45,7 +45,6 @@ def _add_problem_args(p: argparse.ArgumentParser, n_default: int,
                    help="dimensionless damping gamma*L/c")
     p.add_argument("--t-final", type=float, default=t_default,
                    help="dimensionless final time t*c/L")
-    p.add_argument("--init", choices=["gaussian"], default="gaussian")
     p.add_argument("--width", type=float, default=harness.GAUSSIAN_WIDTH,
                    help="gaussian exponent scale")
     p.add_argument("--center", type=float, default=harness.GAUSSIAN_CENTER,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuits import (ModeSystem, RegisterLayout, apply_circuit, circuit_to_matrix,
+from .circuits import (ModeSystem, apply_circuit, circuit_to_matrix,
                        damping_phase_gate, damping_real_circuit, qft_circuit,
                        wave_evolution_circuit)
 from .reference import (ModePairs, dense_expm, encode_initial, exact_solution,
@@ -237,9 +237,9 @@ def damping_contraction_error(g_dt: float, amp: np.ndarray) -> float:
     state = StateVector.from_amplitudes(np.concatenate([amp[:half], np.zeros(half)]))
     want = state.amp.reshape(2, 2, -1).copy()  # (ancilla, selector, data)
     want[0, 1] *= math.exp(-g_dt)
-    layout = RegisterLayout.standard(state.n_qubits - 2)
-    apply_circuit(state, damping_real_circuit(g_dt, layout))
-    p = postselect(state, layout.ancilla, 0)
+    sys = ModeSystem(n=state.n_qubits - 2)
+    apply_circuit(state, damping_real_circuit(g_dt, sys))
+    p = postselect(state, sys.ancilla, 0)
     return float(np.linalg.norm(state.amp * math.sqrt(p) - want.reshape(-1)))
 
 
@@ -249,7 +249,7 @@ def damping_phase_error(x: float, amp: np.ndarray) -> float:
     state = StateVector.from_amplitudes(amp)
     want = state.amp.reshape(2, 2, -1).copy()  # (ancilla, selector, data)
     want[:, 1] *= np.exp(-1j * x)
-    apply_circuit(state, damping_phase_gate(x, RegisterLayout.standard(state.n_qubits - 2)))
+    apply_circuit(state, damping_phase_gate(x, ModeSystem(n=state.n_qubits - 2)))
     return float(np.linalg.norm(state.amp - want.reshape(-1)))
 
 
@@ -257,15 +257,15 @@ def dissipative_stage_error(g_dt: float, a: complex) -> float:
     """Largest entry gap between one dissipative stage of coefficient a
     (damp_real, damp_phase, ancilla postselected on |0>) and
     diag(1, 1, e^{-g_dt a}, e^{-g_dt a}) on the n=1 data+selector states."""
-    layout = RegisterLayout.standard(n=1)
-    real = damping_real_circuit(g_dt * a.real, layout)
-    phase = damping_phase_gate(g_dt * a.imag, layout)
+    sys = ModeSystem(n=1)
+    real = damping_real_circuit(g_dt * a.real, sys)
+    phase = damping_phase_gate(g_dt * a.imag, sys)
     cols = []
     for k in range(4):
-        state = StateVector.basis(layout.n_qubits, k)
+        state = StateVector.basis(sys.n_qubits, k)
         apply_circuit(state, real)
         apply_circuit(state, phase)
-        p = postselect(state, layout.ancilla, 0)
+        p = postselect(state, sys.ancilla, 0)
         cols.append(math.sqrt(p) * state.amp[:4])
     decay = np.exp(-g_dt * a)
     return float(np.max(np.abs(np.column_stack(cols) - np.diag([1, 1, decay, decay]))))

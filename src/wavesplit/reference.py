@@ -13,7 +13,8 @@ has the closed form implemented by ``mode_propagator``.
 
 ``exact_solution`` evaluates it once per distinct wrapped frequency
 (``ModeSystem.frequency_grid``) and gathers the entries over the modes,
-bit for bit; ``spectral_pairs`` does not transform a zero velocity field.
+bit for bit.  ``spectral_pairs`` rejects a nan or inf field before any
+transform, and does not transform a zero velocity field.
 """
 
 from __future__ import annotations
@@ -70,9 +71,10 @@ def _propagator_entries(omega, gamma: float, t: float):
         osc = np.sqrt(np.where(under, om - h, 1.0)) * np.sqrt(np.where(under, om + h, 1.0))
         dec = np.sqrt(np.where(over, h - om, 1.0)) * np.sqrt(np.where(over, h + om, 1.0))
     # past this, exp(-gamma t / 2) leaves the normal range and cosh(dec t)
-    # may overflow, so overdamped modes fold it into their exponents
+    # may overflow, so overdamped modes fold it into their exponents; the
+    # other modes take cosh and sinh of 0, which np.where then discards
     fold = over & (0.5 * gamma * abs(t) > _EXP_NORMAL)
-    xt = np.where(fold, 0.0, dec * t)
+    xt = np.where(over & ~fold, dec * t, 0.0)
     c = np.where(under, np.cos(osc * t), np.where(over, np.cosh(xt), 1.0))
     s = np.where(under, np.sin(osc * t) / osc, np.where(over, np.sinh(xt) / dec, t))
     pref = math.exp(-0.5 * gamma * t)
@@ -138,9 +140,10 @@ def spectral_pairs(phi, dphi_scaled) -> ModePairs:
 
     ``dphi_scaled`` is the velocity field already divided by the wave
     operator's magnitude, so its transform is the per-mode scaled
-    velocity directly.  A nonzero scaled velocity on the zero-frequency
-    mode has no physical preimage and raises.  Multi-dimensional arrays
-    are flattened with axis 0 fastest.
+    velocity directly.  A nan or inf in either field raises, as does a
+    nonzero scaled velocity on the zero-frequency mode, which has no
+    physical preimage.  Multi-dimensional arrays are flattened with axis
+    0 fastest.
     """
     p = np.asarray(phi, dtype=complex)
     w = np.asarray(dphi_scaled, dtype=complex)
@@ -149,9 +152,11 @@ def spectral_pairs(phi, dphi_scaled) -> ModePairs:
     for size in p.shape:
         if size < 2 or size & (size - 1):
             raise ValueError("each axis length must be a power of two, >= 2")
+    if not (np.isfinite(p).all() and np.isfinite(w).all()):
+        raise ValueError("initial fields must be finite")
     root = math.sqrt(p.size)
     u = (np.fft.ifftn(p) * root).ravel(order="F")
-    # a zero field transforms to zeros; nan and inf are nonzero and transform
+    # a zero field transforms to zeros
     v = (np.fft.ifftn(w) * root).ravel(order="F") if w.any() else np.zeros(p.size, complex)
     vmax = float(np.max(np.abs(v))) if v.size else 0.0
     if vmax > 0 and abs(v[0]) > 1e-10 * vmax:
@@ -164,8 +169,9 @@ def encode_initial(phi, dphi_scaled) -> StateVector:
     """Encode physical fields as a normalized statevector.
 
     The data register holds the mode index, the selector separates u
-    (|0>) from v (|1>), and one ancilla is appended in |0>.  The
-    discarded normalization is the norm of ``spectral_pairs(...).concat()``.
+    (|0>) from v (|1>), and one ancilla is appended in |0> (the layout
+    of ``ModeSystem``).  The discarded normalization is the norm of
+    ``spectral_pairs(...).concat()``.
     """
     pairs = spectral_pairs(phi, dphi_scaled)
     vec = pairs.concat()

@@ -26,9 +26,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuits import (Circuit, ModeSystem, RegisterLayout, apply_circuit,
-                       cnot_count, damping_phase_gate, damping_real_circuit,
-                       share_gates, wave_evolution_circuit)
+from .circuits import (Circuit, ModeSystem, apply_circuit, cnot_count,
+                       damping_phase_gate, damping_real_circuit, share_gates,
+                       wave_evolution_circuit)
 from .reference import dense_expm
 from .schemes import SplittingScheme
 from .statevector import StateVector, _outcome_prob, _shared_work, postselect
@@ -61,11 +61,10 @@ class SplitStepPlan:
     sys: ModeSystem
     dt: float
     stages: tuple[Stage, ...]
-    layout: RegisterLayout
 
     @property
     def n_qubits(self) -> int:
-        return self.layout.n_qubits
+        return self.sys.n_qubits
 
     @property
     def cnot_per_step(self) -> int:
@@ -76,10 +75,10 @@ class SplitStepPlan:
     def _schedule(self) -> tuple:
         """What ``simulate`` runs for each stage: None for a postselection,
         else a circuit.  From an ancilla postselection until a circuit acts
-        on the ancilla, its |1> half is exactly zero; while the ancilla is
-        the top qubit, the circuits in between run on the lower half alone,
-        as copies of themselves one qubit narrower.  All share one gate table."""
-        anc, n = self.layout.ancilla, self.n_qubits
+        on the ancilla, its |1> half is exactly zero; the ancilla is the top
+        qubit, so the circuits in between run on the lower half alone, as
+        copies of themselves one qubit narrower.  All share one gate table."""
+        anc, n = self.sys.ancilla, self.n_qubits
         out, clear = [], False
         for st in self.stages:
             if st.circuit is None:
@@ -88,7 +87,7 @@ class SplitStepPlan:
                 continue
             ops = st.circuit.ops
             clear = clear and all(anc not in (op.target, op.control) for op in ops)
-            out.append(Circuit(n - 1, ops) if clear and anc == n - 1 else st.circuit)
+            out.append(Circuit(n - 1, ops) if clear else st.circuit)
         share_gates(c for c in out if c is not None)
         return tuple(out)
 
@@ -136,24 +135,23 @@ def build_step(scheme: SplittingScheme, sys: ModeSystem, dt: float) -> SplitStep
         raise ValueError(f"damping rate {sys.gamma:g} times step size {dt:g} overflows")
     if not np.isfinite(sys.zeta * max(abs(bi) for bi in b) * dt * 2.0**sys.n):
         raise ValueError(f"step size {dt:g} overflows the wave-stage angles")
-    layout = sys.layout()
     stages: list[Stage] = []
 
     def dissipative(ai: complex) -> None:
         g_re, g_im = sys.gamma * ai.real * dt, sys.gamma * ai.imag * dt
-        stages.append(Stage("damp_real", g_re, damping_real_circuit(g_re, layout)))
+        stages.append(Stage("damp_real", g_re, damping_real_circuit(g_re, sys)))
         if abs(ai.imag) >= _IM_OMIT_TOL:
-            stages.append(Stage("damp_phase", g_im, damping_phase_gate(g_im, layout)))
+            stages.append(Stage("damp_phase", g_im, damping_phase_gate(g_im, sys)))
         stages.append(POSTSELECT)
 
     for i, bi in enumerate(b):
         dissipative(complex(a[i]))
         for dim in range(sys.d):
             stages.append(Stage("wave", bi * dt,
-                                wave_evolution_circuit(sys, sys.zeta * bi * dt, dim, layout)))
+                                wave_evolution_circuit(sys, sys.zeta * bi * dt, dim)))
     if len(a) == len(b) + 1:
         dissipative(complex(a[-1]))
-    return SplitStepPlan(scheme, sys, dt, tuple(stages), layout)
+    return SplitStepPlan(scheme, sys, dt, tuple(stages))
 
 
 def simulate(plan: SplitStepPlan, T: int, state: StateVector) -> RunReport:
@@ -168,9 +166,9 @@ def simulate(plan: SplitStepPlan, T: int, state: StateVector) -> RunReport:
         raise ValueError("need at least one step")
     if state.n_qubits != plan.n_qubits:
         raise ValueError("initial state size does not match the plan")
-    anc, n = plan.layout.ancilla, plan.n_qubits
-    # the ancilla-|0> half when the ancilla is on top; it and the state
-    # share one scratch, released on the way out
+    anc, n = plan.sys.ancilla, plan.n_qubits
+    # the ancilla-|0> half, the lower half since the ancilla is the top
+    # qubit; it and the state share one scratch, released on the way out
     low = StateVector(n - 1, state.amp[: 2 ** (n - 1)])
     with _shared_work((state, low), 2**n):
         if _outcome_prob(state, anc, 1) > 1e-12:

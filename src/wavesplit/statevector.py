@@ -51,11 +51,6 @@ class Gate2x2:
         return cls(np.array([[c, -s], [s, c]], dtype=complex), "RY")
 
     @classmethod
-    def rz(cls, theta: float) -> "Gate2x2":
-        e = np.exp(-0.5j * theta)
-        return cls(np.array([[e, 0], [0, e.conjugate()]], dtype=complex), "RZ")
-
-    @classmethod
     def p(cls, theta: float) -> "Gate2x2":
         return cls(np.array([[1, 0], [0, np.exp(1j * theta)]], dtype=complex), "P")
 
@@ -121,9 +116,6 @@ class StateVector:
         if nrm == 0.0:
             raise ValueError("cannot normalize a zero state")
         return cls(n, amp / nrm)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amp))
 
 
 def _check_qubit(state: StateVector, qubit: int, role: str) -> None:

@@ -14,8 +14,6 @@ def _gate_2x2(kind: str, angle) -> np.ndarray:
     if kind in ("RY", "CRY"):
         c, s = np.cos(angle / 2), np.sin(angle / 2)
         return np.array([[c, -s], [s, c]], dtype=complex)
-    if kind == "RZ":
-        return np.diag([np.exp(-0.5j * angle), np.exp(0.5j * angle)])
     if kind in ("P", "CP"):
         return np.diag([1.0, np.exp(1j * angle)]).astype(complex)
     if kind in ("X", "CNOT"):

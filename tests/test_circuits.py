@@ -8,7 +8,6 @@ from wavesplit.circuits import (
     Circuit,
     GateOp,
     ModeSystem,
-    RegisterLayout,
     apply_circuit,
     circuit_dump,
     circuit_to_matrix,
@@ -35,6 +34,7 @@ def test_gateop_validation():
     # the same bad op every time it is built
     bad = [
         (GateOp("H", target=0), "unknown gate kind 'H'"),
+        (GateOp("RZ", target=0, angle=0.1), "unknown gate kind 'RZ'"),
         (GateOp("RY", target=2, angle=0.1), "target 2 out of range"),
         (GateOp("RY", target=-1, angle=0.1), "target -1 out of range"),
         (GateOp("CNOT", target=0), "CNOT needs an in-range control qubit"),
@@ -79,12 +79,16 @@ def test_gateop_is_an_immutable_tuple_record():
 
 
 def test_layout_standard():
-    lay = RegisterLayout.standard(n=3, d=2)
-    assert lay.data == ((0, 1, 2), (3, 4, 5))
-    assert lay.selector == 6
-    assert lay.ancilla == 7
-    with pytest.raises(ValueError):
-        RegisterLayout(data=((0, 1),), selector=1, ancilla=2)
+    # data registers dimension by dimension, then the selector, then the
+    # ancilla on top
+    sys32 = ModeSystem(n=3, d=2)
+    assert (sys32.selector, sys32.ancilla, sys32.n_qubits) == (6, 7, 8)
+    for dim, data in enumerate(((0, 1, 2), (3, 4, 5))):
+        ops = wave_evolution_circuit(sys32, 0.3, dim).ops
+        assert {op.control for op in ops} == set(data)
+        assert {op.target for op in ops} == {6}
+    assert damping_real_circuit(0.2, sys32).ops[0][:3] == ("CRY", 7, 6)
+    assert damping_phase_gate(0.2, sys32).ops[0][:3] == ("P", 6, None)
 
 
 def test_mode_system_frequencies():
@@ -142,8 +146,7 @@ def test_wave_circuit_block_structure(n):
 @pytest.mark.parametrize("n,d,dim", [(1, 1, 0), (3, 1, 0), (4, 3, 2)])
 def test_wave_circuit_ops_are_the_documented_ladder(n, d, dim):
     sys_ = ModeSystem(n=n, d=d)
-    lay = sys_.layout()
-    data, sel = lay.data[dim], lay.selector
+    data, sel = range(dim * n, (dim + 1) * n), sys_.selector
     tau = 0.1 * 7.3
     circ = wave_evolution_circuit(sys_, tau, dim)
     # CNOT(top -> selector), CRY(-2**r tau) per data qubit r, the same
@@ -175,7 +178,7 @@ def test_wave_circuit_independent_embedding_oracle():
     # random circuits with one op of every kind that fits, the uncontrolled
     # RY among them since it sizes the doubled register's scratch
     for n in range(1, 6):
-        kinds = GATE_KINDS if n > 1 else ("RY", "RZ", "P", "X")
+        kinds = GATE_KINDS if n > 1 else ("RY", "P", "X")
         ops = [random_op(kind, n) for kind in kinds]
         ops += [random_op(kinds[rng.integers(len(kinds))], n) for _ in range(6 * n)]
         circ = Circuit(n, tuple(ops))
@@ -183,9 +186,9 @@ def test_wave_circuit_independent_embedding_oracle():
 
 
 def test_damping_real_circuit_action():
-    lay = RegisterLayout.standard(n=1, d=1)
+    sys1 = ModeSystem(n=1)
     gdt = 0.3
-    circ = damping_real_circuit(gdt, lay)
+    circ = damping_real_circuit(gdt, sys1)
     assert cnot_count(circ) == 2
     mat = circuit_to_matrix(circ)
     k = np.exp(-gdt)
@@ -197,7 +200,7 @@ def test_damping_real_circuit_action():
     # selector |0> column untouched
     assert mat[0, 0] == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
-        damping_real_circuit(-0.1, lay)
+        damping_real_circuit(-0.1, sys1)
     # the selftest check, after postselection, on a wider random state
     draw = np.random.default_rng(5)
     for g in (0.0, 0.05, 0.31, 2.0):
@@ -206,8 +209,7 @@ def test_damping_real_circuit_action():
 
 
 def test_damping_phase_gate_action():
-    lay = RegisterLayout.standard(n=1, d=1)
-    circ = damping_phase_gate(0.4, lay)
+    circ = damping_phase_gate(0.4, ModeSystem(n=1))
     mat = circuit_to_matrix(circ)
     expected = np.diag([1, 1, np.exp(-0.4j), np.exp(-0.4j), 1, 1, np.exp(-0.4j), np.exp(-0.4j)])
     assert np.max(np.abs(mat - expected)) < 1e-15

@@ -148,11 +148,14 @@ def test_overflowing_center_exits_without_a_warning(capsys):
 
 
 def test_non_finite_profile_exit_code(capsys):
-    # a nan width or center makes a nan profile: a domain error, not a nan result
-    assert run(["simulate", "--scheme", "lie", "--n", "3", "--width", "nan"]) == 1
-    assert "finite" in capsys.readouterr().err
-    assert run(["simulate", "--scheme", "lie", "--n", "3", "--center", "nan"]) == 1
-    assert "finite" in capsys.readouterr().err
+    # a nan width or center makes a nan profile, and -inf or -1e300 an inf
+    # one: a domain error raised before any transform, not a nan result
+    for extra in (["--width", "nan"], ["--center", "nan"], ["--width=-inf"],
+                  ["--width=-1e300"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["simulate", "--scheme", "lie", "--n", "3", *extra]) == 1
+        assert "initial fields must be finite" in capsys.readouterr().err
     assert run(["sweep", "--scheme", "strang", "--n", "3", "--width", "nan",
                 "--steps-list", "4,6,8"]) == 1
     captured = capsys.readouterr()
@@ -190,15 +193,18 @@ def test_runtime_error_exit_code(capsys):
 
 
 def test_heavily_overdamped_run_prints_finite_numbers(capsys):
-    # gamma t / 2 = 1750: the analytic propagator must not turn 0 * inf into nan
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run(["simulate", "--scheme", "lie", "--n", "3", "--gamma-ratio", "5e3"]) == 0
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    values = dict(re.findall(r"(\w+)=(\S+)", captured.out))
-    for key in ("success_prob", "analytic_norm_ratio", "epsilon"):
-        assert math.isfinite(float(values[key]))
+    # gamma t / 2 = 1750, then 2.5e299: the analytic propagator must not turn
+    # 0 * inf into nan, nor overflow cosh on the modes it does not use it for
+    for args in (["--scheme", "lie", "--n", "3", "--gamma-ratio", "5e3"],
+                 ["--scheme", "bernier6", "--n", "2", "--d", "2", "--t-final", "1e300"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["simulate", *args]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        values = dict(re.findall(r"(\w+)=(\S+)", captured.out))
+        for key in ("success_prob", "analytic_norm_ratio", "epsilon"):
+            assert math.isfinite(float(values[key]))
 
 
 def test_run_with_gamma_squared_overflowing(capsys):
@@ -253,7 +259,7 @@ def argv(draw, output):
     return args
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_every_small_command_line_exits_cleanly(tmp_path, data):

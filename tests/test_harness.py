@@ -237,17 +237,17 @@ def _failed_rows(monkeypatch, builder: str, broken) -> set[str]:
 
 def test_stage_check_catches_a_flipped_phase(monkeypatch):
     failed = _failed_rows(monkeypatch, "damping_phase_gate",
-                          lambda x, layout: circuits.damping_phase_gate(-x, layout))
+                          lambda x, sys: circuits.damping_phase_gate(-x, sys))
     assert "complex_stage_factorization" in failed
     assert harness.dissipative_stage_error(0.5, 0.1 + 0.2j) > 1e-3
 
 
 def test_damping_checks_catch_a_wrong_rate_or_sign(monkeypatch):
     failed = _failed_rows(monkeypatch, "damping_real_circuit",
-                          lambda g, layout: circuits.damping_real_circuit(1.01 * g, layout))
+                          lambda g, sys: circuits.damping_real_circuit(1.01 * g, sys))
     assert {"damping_contraction", "complex_stage_factorization"} <= failed
     failed = _failed_rows(monkeypatch, "damping_phase_gate",
-                          lambda x, layout: circuits.damping_phase_gate(-x, layout))
+                          lambda x, sys: circuits.damping_phase_gate(-x, sys))
     assert "damping_phase" in failed
 
 

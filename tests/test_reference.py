@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import contextlib
 import math
 import warnings
 
@@ -202,15 +201,23 @@ def test_zero_velocity_skips_its_transform(monkeypatch):
         assert np.array_equal(pairs.u, (ifftn(phi) * root).ravel(order="F"))
         transformed = (ifftn(zero.astype(complex)) * root).ravel(order="F")
         assert pairs.v.dtype == transformed.dtype and np.array_equal(pairs.v, transformed)
-    # a nonzero velocity, nan or inf included, is transformed
-    for value in (1e-300, math.nan, math.inf):
-        dphi = np.zeros(8)
-        dphi[3], dphi[5] = value, -value
-        calls.clear()
-        with contextlib.suppress(ValueError), warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            spectral_pairs(np.ones(8), dphi)
-        assert len(calls) == 2
+    # a nonzero finite velocity is transformed
+    dphi = np.zeros(8)
+    dphi[3], dphi[5] = 1e-300, -1e-300
+    calls.clear()
+    spectral_pairs(np.ones(8), dphi)
+    assert len(calls) == 2
+    # a nan or inf in either field raises before any transform
+    for value in (math.nan, math.inf, -math.inf):
+        bad = np.zeros(8)
+        bad[3] = value
+        for fields in ((np.ones(8), bad), (bad, np.zeros(8))):
+            calls.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="initial fields must be finite"):
+                    spectral_pairs(*fields)
+            assert calls == []
     with pytest.raises(ValueError, match="zero-frequency mode carries velocity"):
         spectral_pairs(np.ones(8), np.ones(8))
 

@@ -71,7 +71,7 @@ def test_wave_stage_dimension_order():
     assert len(waves) == 3
     for k, stage in enumerate(waves):
         controls = {op.control for op in stage.circuit.ops}
-        assert controls == set(plan.layout.data[k])
+        assert controls == set(range(2 * k, 2 * k + 2))
 
 
 def test_stage_coefficients_recorded():
@@ -92,7 +92,7 @@ def test_stage_coefficients_recorded():
 
 
 def test_stage_rejects_mismatched_records():
-    circ = circuits.damping_real_circuit(0.1, ModeSystem(n=1).layout())
+    circ = circuits.damping_real_circuit(0.1, ModeSystem(n=1))
     assert Stage("damp_real", 0.1, circ).circuit is circ
     with pytest.raises(ValueError):
         Stage("wave", 0.1)  # a circuit stage without its circuit
@@ -329,7 +329,7 @@ def test_one_kernel_call_per_planned_gate(monkeypatch, n, d):
 def full_width_run(plan, T, initial):
     """Every stage on the whole state: the path ``simulate`` narrows.
     Runs on a copy, leaving ``initial`` as it was."""
-    anc = plan.layout.ancilla
+    anc = plan.sys.ancilla
     state = StateVector(initial.n_qubits, initial.amp.copy())
     success = 1.0
     for _ in range(T):
@@ -370,14 +370,13 @@ def warm_ancilla_initial(sys_):
     return StateVector(sys_.n_qubits, amp)
 
 
-def hand_built(stages_of, layout=None):
-    """A plan on n=3 from ``stages_of(wave, damp, layout)``."""
+def hand_built(stages_of):
+    """A plan on n=3 from ``stages_of(wave, damp, sys)``."""
     sys3 = ModeSystem(n=3, gamma=0.6)
-    layout = layout or sys3.layout()
-    wave = Stage("wave", 0.1, circuits.wave_evolution_circuit(sys3, 0.3, 0, layout))
-    damp = Stage("damp_real", 0.05, circuits.damping_real_circuit(0.05, layout))
-    stages = stages_of(wave, damp, layout)
-    return SplitStepPlan(get_scheme("lie"), sys3, 0.1, stages, layout), wave, damp
+    wave = Stage("wave", 0.1, circuits.wave_evolution_circuit(sys3, 0.3))
+    damp = Stage("damp_real", 0.05, circuits.damping_real_circuit(0.05, sys3))
+    stages = stages_of(wave, damp, sys3)
+    return SplitStepPlan(get_scheme("lie"), sys3, 0.1, stages), wave, damp
 
 
 def test_wave_before_any_postselect_runs_full_width():
@@ -391,17 +390,17 @@ def test_wave_before_any_postselect_runs_full_width():
     wrong = StateVector(nq, start.copy())
     circuits.apply_circuit(StateVector(nq - 1, wrong.amp[: wrong.amp.size // 2]),
                            circuits.Circuit(nq - 1, wave.circuit.ops))
-    rest = SplitStepPlan(plan.scheme, plan.sys, plan.dt, (damp, POSTSELECT, wave), plan.layout)
+    rest = SplitStepPlan(plan.scheme, plan.sys, plan.dt, (damp, POSTSELECT, wave))
     assert not np.array_equal(full_width_run(rest, 1, wrong)[0].amp,
                               simulate(plan, 1, StateVector(nq, start)).state.amp)
 
 
 def test_ancilla_controlled_circuit_runs_full_width():
-    def stages_of(wave, damp, layout):
-        anc, sel = layout.ancilla, layout.selector
-        controlled = circuits.Circuit(layout.n_qubits, (
+    def stages_of(wave, damp, sys_):
+        anc, sel = sys_.ancilla, sys_.selector
+        controlled = circuits.Circuit(sys_.n_qubits, (
             circuits.GateOp("CRY", sel, control=anc, angle=0.9),))
-        lift = circuits.Circuit(layout.n_qubits, (
+        lift = circuits.Circuit(sys_.n_qubits, (
             circuits.GateOp("RY", anc, angle=0.4),
             circuits.GateOp("CRY", sel, control=anc, angle=0.9),
         ))
@@ -411,16 +410,6 @@ def test_ancilla_controlled_circuit_runs_full_width():
     plan, _, _ = hand_built(stages_of)
     phi, dphi = random_fields(8)
     assert_matches_full_width(plan, 2, encode_initial(phi, dphi))
-
-
-def test_ancilla_below_the_top_runs_full_width():
-    # ancilla on qubit 0, data on qubits 2-4: the lower half is not its |0> half
-    layout = circuits.RegisterLayout(((2, 3, 4),), selector=1, ancilla=0)
-    plan, _, _ = hand_built(lambda w, d, _: (d, POSTSELECT, w), layout)
-    amp = np.zeros(2**plan.n_qubits, dtype=complex)
-    amp[::2] = rng.standard_normal(amp.size // 2)
-    initial = StateVector.from_amplitudes(amp)
-    assert_matches_full_width(plan, 2, initial)
 
 
 def test_simulate_shares_one_scratch_and_releases_it(monkeypatch):
@@ -441,7 +430,7 @@ def test_simulate_shares_one_scratch_and_releases_it(monkeypatch):
 
     # an ancilla flipped to |1> makes the next postselection degenerate
     flip = Stage("damp_real", 0.0, circuits.Circuit(nq, (
-        circuits.GateOp("X", plan.layout.ancilla),)))
+        circuits.GateOp("X", plan.sys.ancilla),)))
     bad, _, _ = hand_built(lambda w, d, _: (d, POSTSELECT, w, flip, POSTSELECT))
     state = encode_initial(phi, dphi)
     with pytest.raises(DegeneratePostselectionError):
@@ -470,7 +459,7 @@ def test_plans_build_no_gates_until_run(monkeypatch):
     def refuse(*args):
         raise AssertionError("a gate matrix was built")
 
-    for family in ("ry", "rz", "p", "x"):
+    for family in ("ry", "p", "x"):
         monkeypatch.setattr(Gate2x2, family, refuse)
     for scheme in builtin_schemes():
         for d in (1, 2, 3):
@@ -480,8 +469,7 @@ def test_plans_build_no_gates_until_run(monkeypatch):
             harness.gate_report(scheme, 3, d)
 
 
-FRESH = {"RY": Gate2x2.ry, "CRY": Gate2x2.ry, "P": Gate2x2.p, "CP": Gate2x2.p,
-         "RZ": Gate2x2.rz}
+FRESH = {"RY": Gate2x2.ry, "CRY": Gate2x2.ry, "P": Gate2x2.p, "CP": Gate2x2.p}
 
 
 @pytest.mark.parametrize("name,d", [("strang", 1), ("castella4", 2), ("bernier6", 3)])
@@ -490,7 +478,7 @@ def test_shared_gates_match_fresh_gates(name, d):
     phi, dphi = random_fields(2**n, d)
     plan = build_step(get_scheme(name), ModeSystem(n=n, d=d, gamma=0.6), 0.07)
     initial = encode_initial(phi, dphi)
-    state, anc, T = StateVector(initial.n_qubits, initial.amp.copy()), plan.layout.ancilla, 2
+    state, anc, T = StateVector(initial.n_qubits, initial.amp.copy()), plan.sys.ancilla, 2
     success = 1.0
     for _ in range(T):
         for st in plan.stages:
