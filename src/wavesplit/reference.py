@@ -52,7 +52,21 @@ class ModePairs:
 
 
 def _propagator_entries(omega, gamma: float, t: float):
-    """Entries of exp(([[0, w], [-w, -gamma]]) * t), vectorized over w."""
+    """Entries of exp(([[0, w], [-w, -gamma]]) * t), vectorized over w.
+    A negative t grows the modes, and raises ValueError where they overflow."""
+    if not t < 0:
+        return _entries(omega, gamma, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            entries = _entries(omega, gamma, t)
+            if all(np.isfinite(m).all() for m in entries):
+                return entries
+        except OverflowError:  # math.exp of the prefactor
+            pass
+    raise ValueError(f"the propagator over t = {t} overflows at gamma = {gamma}")
+
+
+def _entries(omega, gamma: float, t: float):
     om = np.asarray(omega, dtype=float)
     if math.isfinite(float(gamma) * float(gamma)):
         disc = om * om - 0.25 * gamma * gamma

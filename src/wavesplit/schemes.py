@@ -78,6 +78,18 @@ BERNIER6 = SplittingScheme(
     _BERNIER_B_HALF + tuple(reversed(_BERNIER_B_HALF[:-1])),
 )
 
+
+def yoshida4() -> SplittingScheme:
+    """Yoshida's fourth-order triple jump (Phys. Lett. A 150, 1990): real
+    coefficients, and the middle steps negative, as every real scheme
+    above order 2 must have.  Not a builtin: ``validate_scheme`` and
+    ``build_step`` reject it."""
+    w1 = 1 / (2 - 2 ** (1 / 3))
+    w0 = -(2 ** (1 / 3)) * w1
+    a = (w1 / 2, (w0 + w1) / 2, (w0 + w1) / 2, w1 / 2)
+    return SplittingScheme("yoshida4", 4, tuple(complex(x) for x in a), (w1, w0, w1))
+
+
 _REGISTRY = {s.name: s for s in (LIE, STRANG, CASTELLA4, BERNIER6)}
 
 

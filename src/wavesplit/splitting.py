@@ -31,7 +31,7 @@ from .circuits import (Circuit, ModeSystem, apply_circuit, cnot_count,
                        wave_evolution_circuit)
 from .reference import dense_expm
 from .schemes import SplittingScheme
-from .statevector import StateVector, _outcome_prob, _shared_work, postselect
+from .statevector import StateVector, _halves, _outcome_prob, _shared_work, postselect
 
 _IM_OMIT_TOL = 1e-15
 _HERM_TOL = 1e-12
@@ -171,7 +171,7 @@ def simulate(plan: SplitStepPlan, T: int, state: StateVector) -> RunReport:
     # qubit; it and the state share one scratch, released on the way out
     low = StateVector(n - 1, state.amp[: 2 ** (n - 1)])
     with _shared_work((state, low), 2**n):
-        if _outcome_prob(state, anc, 1) > 1e-12:
+        if _outcome_prob(_halves(state, anc, 1)) > 1e-12:
             raise ValueError("ancilla must start in |0>")
         t0 = time.perf_counter()
         success = 1.0

@@ -142,9 +142,10 @@ def _carve(state: StateVector, key: tuple, target: int, control: int | None,
            kind: str) -> tuple:
     """Cache and return the views ``_combine`` takes for one wiring: the
     halves of the pair view for a diagonal gate, else the pair, its
-    scratch copy ``ab``, ``ab`` reversed and, for a general gate, ``uv``.
-    The pair view stacks the target-0 and target-1 amplitudes where the
-    control is 1; C order puts high qubits first."""
+    scratch copy ``ab``, ``ab`` reversed, for a general gate ``uv``, and
+    the pair and ``ab`` as runs.  The pair view stacks the target-0 and
+    target-1 amplitudes where the control is 1; C order puts high qubits
+    first, so its last axis is a contiguous run of amplitudes."""
     n, views = state.n_qubits, state._views
     if control is None:
         pair = state.amp.reshape(2 ** (n - 1 - target), 2, 1, 2**target).transpose(1, 0, 2, 3)
@@ -161,7 +162,12 @@ def _carve(state: StateVector, key: tuple, target: int, control: int | None,
         views.clear()  # every entry stays carved from the one buffer
         views.work = np.empty(size, dtype=complex)
     scratch = views.work[:size].reshape((-1, *pair.shape))  # ab, and uv if general
-    views[key] = (pair, scratch[0], scratch[0, ::-1], *scratch[1:])
+    # pair and ab again, one element per run of the last axis, split so that
+    # no element passes 2**10 amplitudes: numpy caps a void at 2**31 bytes
+    run = min(pair.shape[-1], 2**10)
+    split, void = (*pair.shape[:-1], -1, run), np.dtype((np.void, 16 * run))
+    runs = tuple(v.reshape(split).view(void) for v in (pair, scratch[0]))
+    views[key] = (pair, scratch[0], scratch[0, ::-1], *scratch[1:], *runs)
     return views[key]
 
 
@@ -173,19 +179,19 @@ def _combine(kind: str, diag: np.ndarray, cross: np.ndarray, views: tuple) -> No
                 half *= k
         return
     # A strided ufunc pays per run of contiguous amplitudes, and a low
-    # control qubit makes the runs short; a copy pays far less per run.
-    # So the pair is copied out once, combined contiguously, copied back.
+    # control qubit makes the runs short; a copy of whole runs pays far
+    # less.  So the pair is copied out once, combined contiguously, copied back.
     if kind == "anti":
-        pair, ab, ba = views
-        np.copyto(ab, pair)
+        pair, ab, ba, pair_runs, ab_runs = views
+        np.copyto(ab_runs, pair_runs)
         np.multiply(ba, cross, out=pair)
         return
-    pair, ab, ba, uv = views
-    np.copyto(ab, pair)
+    pair, ab, ba, uv, pair_runs, ab_runs = views
+    np.copyto(ab_runs, pair_runs)
     np.multiply(ba, cross, out=uv)  # (m01 b, m10 a)
     ab *= diag
     ab += uv
-    np.copyto(pair, ab)
+    np.copyto(pair_runs, ab_runs)
 
 
 def apply_1q(state: StateVector, gate: Gate2x2, target: int) -> None:
@@ -215,8 +221,8 @@ def apply_controlled(state: StateVector, gate: Gate2x2, control: int, target: in
 
 
 def _halves(state: StateVector, qubit: int, bit: int) -> tuple:
-    """The cached (kept, dropped, kept.real, kept.imag) halves of the
-    amplitudes where ``qubit`` reads ``bit`` and ``1 - bit``."""
+    """The cached (kept as float64, dropped, kept.real, kept.imag) halves
+    of the amplitudes where ``qubit`` reads ``bit`` and ``1 - bit``."""
     views = state._views.get(("half", qubit, bit))
     if views is None:
         _check_qubit(state, qubit, "measured")
@@ -225,13 +231,14 @@ def _halves(state: StateVector, qubit: int, bit: int) -> tuple:
         # (high qubits, measured qubit, low qubits): each half is 2-d
         phi = state.amp.reshape(-1, 2, 2**qubit)
         kept = phi[:, bit]
-        views = state._views["half", qubit, bit] = (kept, phi[:, 1 - bit], kept.real, kept.imag)
+        views = state._views["half", qubit, bit] = (
+            kept.view(np.float64), phi[:, 1 - bit], kept.real, kept.imag)
     return views
 
 
-def _outcome_prob(state: StateVector, qubit: int, bit: int) -> float:
-    """Squared norm of the amplitudes where ``qubit`` reads ``bit``."""
-    _, _, re, im = _halves(state, qubit, bit)
+def _outcome_prob(halves: tuple) -> float:
+    """Squared norm of the kept half of ``_halves``."""
+    _, _, re, im = halves
     return float(np.einsum("ij,ij->", re, re) + np.einsum("ij,ij->", im, im))
 
 
@@ -242,12 +249,15 @@ def postselect(state: StateVector, qubit: int, outcome: int) -> float:
     sqrt(p) times the new state.  Nothing is written when the outcome
     is degenerate.
     """
-    kept, dropped, _, _ = _halves(state, qubit, outcome)
-    p = _outcome_prob(state, qubit, outcome)
+    halves = _halves(state, qubit, outcome)
+    p = _outcome_prob(halves)
     if p < 1e-300:
         raise DegeneratePostselectionError(
             f"outcome {outcome} on qubit {qubit} has probability {p:.3e}")
     p = min(p, 1.0)
-    kept /= math.sqrt(p)
+    # numpy divides a complex by c + 0j as a product with 1.0 / c, so this
+    # real product gives the same values (a signed zero may flip)
+    kept, dropped, _, _ = halves
+    kept *= 1.0 / math.sqrt(p)
     dropped[...] = 0
     return p

@@ -123,3 +123,17 @@ def random_hermitian(rng, dim: int) -> np.ndarray:
     b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = (b + b.conj().T) / 2
     return h / np.linalg.norm(h, 2)
+
+
+def views_by_buffer(state) -> tuple[list, list]:
+    """Every view cached on ``state``, split into those that alias
+    ``state.amp`` and those that alias its one scratch buffer; a view that
+    aliases both or neither fails."""
+    on_amp, on_work = [], []
+    for entry in state._views.values():
+        for v in entry:
+            amp = np.shares_memory(v, state.amp)
+            work = state._views.work is not None and np.shares_memory(v, state._views.work)
+            assert amp != work, v.shape
+            (on_amp if amp else on_work).append(v)
+    return on_amp, on_work

@@ -21,7 +21,7 @@ from wavesplit.harness import (damping_contraction_error, damping_phase_error, q
                                wave_block_error)
 from wavesplit.statevector import StateVector
 
-from helpers import circuit_matrix
+from helpers import circuit_matrix, views_by_buffer
 
 rng = np.random.default_rng(11)
 
@@ -257,8 +257,10 @@ def test_apply_circuit_gates_share_one_scratch(make):
     work = state._views.work
     has_ry = any(op.kind == "RY" for op in circ.ops)
     assert work.size == 2 ** (circ.n_qubits + has_ry)
-    views = [v for entry in state._views.values() if len(entry) > 2 for v in entry[1:]]
-    assert views and all(np.shares_memory(v, work) for v in views)
+    # each wiring's pair and its run view (or a diagonal gate's two halves)
+    # alias the amplitudes, and every scratch view the one buffer
+    on_amp, on_work = views_by_buffer(state)
+    assert on_work and len(on_amp) == 2 * len(state._views)
     apply_circuit(state, circ)  # a second run carves nothing new
     assert state._views.work is work
 

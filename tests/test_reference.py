@@ -90,6 +90,21 @@ def test_mode_propagator_backward_time_inverts():
     assert np.max(np.abs(p_fwd @ p_bwd - np.eye(2))) < 1e-13
 
 
+def test_backward_time_overflow_raises_without_warnings():
+    # backward in time the modes grow by exp(gamma |t| / 2); where that
+    # overflows the propagator is not finite, and it says so
+    pairs = spectral_pairs(rng.standard_normal(8), np.zeros(8))
+    calls = (lambda: mode_propagator(1.0, 1e300, -0.7),
+             lambda: mode_propagator(1.0, 2000, -0.7),
+             lambda: exact_solution(ModeSystem(n=3, gamma=1e3), pairs, -5.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^the propagator over t = -\S+ overflows"):
+                call()
+        assert np.all(np.isfinite(mode_propagator(1.0, 900, -0.7)))
+
+
 def test_undamped_propagator_is_rotation():
     p = mode_propagator(2.0, 0.0, 0.25)
     th = 0.5

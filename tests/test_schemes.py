@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 
+from wavesplit.harness import fit_order
 from wavesplit.schemes import (
     BERNIER6,
     CASTELLA4,
@@ -13,7 +15,10 @@ from wavesplit.schemes import (
     builtin_schemes,
     get_scheme,
     validate_scheme,
+    yoshida4,
 )
+
+from helpers import random_hermitian
 
 
 def test_builtin_roster():
@@ -104,6 +109,40 @@ def test_validation_catches_negative_real_part():
     bad = dataclasses.replace(STRANG, a=(1.5, -0.5))
     report = validate_scheme(bad)
     assert not report.passed
+    # the named negative-step scheme is flagged, and is no builtin
+    y = yoshida4()
+    assert f"min Re(a) = {y.a[1].real} is not positive" in validate_scheme(y).violations
+    assert y not in builtin_schemes()
+    with pytest.raises(KeyError):
+        get_scheme(y.name)
+
+
+def test_scheme_tables_meet_their_order_conditions():
+    # one step's local error ||S(dt) - exp((H1 + i H2) dt)|| falls as
+    # dt**(order + 1) only if the coefficients meet every order condition,
+    # so a wrong late digit in a table lowers the slope.  The double
+    # literals meet them to about 1e-17, which leaves a floor near 5e-18:
+    # these dt keep bernier6's error (1e-10 .. 8e-15) well above it, where
+    # smaller ones bent its slope to 2-6.
+    gen = np.random.default_rng(5)
+    dts = (0.32, 0.16, 0.08)
+    slopes = []
+    with mpmath.workdps(20):
+        h1, h2 = (mpmath.matrix(random_hermitian(gen, 3).tolist()) for _ in range(2))
+        for scheme in builtin_schemes():
+            errs = []
+            for dt in dts:
+                # stage order as in build_step: dissipative first
+                step = mpmath.eye(3)
+                for i, bi in enumerate(scheme.b):
+                    step = mpmath.expm(h1 * (mpmath.mpc(scheme.a[i]) * dt)) * step
+                    step = mpmath.expm(h2 * (1j * bi * dt)) * step
+                if len(scheme.a) > len(scheme.b):
+                    step = mpmath.expm(h1 * (mpmath.mpc(scheme.a[-1]) * dt)) * step
+                exact = mpmath.expm((h1 + 1j * h2) * dt)
+                errs.append(float(mpmath.mnorm(step - exact, 1)))
+            slopes.append(fit_order(dts, errs))
+    assert slopes == pytest.approx([s.order + 1 for s in builtin_schemes()], abs=0.5)
 
 
 def test_get_scheme_unknown_name():

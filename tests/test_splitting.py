@@ -9,7 +9,7 @@ import scipy.linalg
 from wavesplit import circuits, harness, splitting
 from wavesplit.circuits import ModeSystem
 from wavesplit.reference import dense_expm, encode_initial, spectral_pairs
-from wavesplit.schemes import SplittingScheme, builtin_schemes, get_scheme, validate_scheme
+from wavesplit.schemes import builtin_schemes, get_scheme, validate_scheme, yoshida4
 from wavesplit.splitting import (
     POSTSELECT,
     SplitStepPlan,
@@ -147,15 +147,6 @@ def test_one_builder_call_per_circuit_stage(monkeypatch, scheme, d):
     # and every circuit stage holds its own circuit, repeated coefficients too
     circuits_ = [st.circuit for st in plan.stages if st.circuit is not None]
     assert len({id(c) for c in circuits_}) == len(circuits_) == sum(calls.values())
-
-
-def yoshida4() -> SplittingScheme:
-    """Yoshida's (1990) fourth-order triple jump: real coefficients, and the
-    middle steps negative, as every real scheme above order 2 must have."""
-    w1 = 1 / (2 - 2 ** (1 / 3))
-    w0 = -(2 ** (1 / 3)) * w1
-    a = (w1 / 2, (w0 + w1) / 2, (w0 + w1) / 2, w1 / 2)
-    return SplittingScheme("yoshida4", 4, tuple(complex(x) for x in a), (w1, w0, w1))
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5])

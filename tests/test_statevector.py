@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import math
 import pickle
 
 import numpy as np
@@ -17,7 +18,7 @@ from wavesplit.statevector import (
     postselect,
 )
 
-from helpers import embed_2x2, gateop_matrix
+from helpers import embed_2x2, gateop_matrix, views_by_buffer
 
 rng = np.random.default_rng(7)
 
@@ -226,29 +227,55 @@ def test_kernel_matches_basis_oracle(draw):
     assert np.max(np.abs(s.amp - embed_2x2(matrix, n, target, control) @ expected)) < 1e-12
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def rounding_oracle(amp, gate, control, target):
+    """The gate applied by fancy indexing: m00 a + m01 b and m11 b + m10 a."""
+    idx = np.arange(amp.size)
+    on = (idx >> target & 1 == 0) & (True if control is None else idx >> control & 1 == 1)
+    idx0 = idx[on]
+    idx1 = idx0 | 1 << target
+    (m00, m01), (m10, m11) = gate.matrix
+    a, b = amp[idx0], amp[idx1]
+    expected = amp.copy()
+    expected[idx0] = a * m00 + b * m01
+    expected[idx1] = b * m11 + a * m10
+    return expected
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 10])
 def test_kernel_rounding_order(n):
     # byte-identical CSVs rest on each gate computing m00 a + m01 b and
-    # m11 b + m10 a in this order, with no fused or reassociated arithmetic
-    idx = np.arange(2**n)
+    # m11 b + m10 a in this order, with no fused or reassociated arithmetic;
+    # at 10 qubits the copies move runs of 1 to 512 amplitudes
     cases = [(Gate2x2.ry(0.7), None, t) for t in range(n)]
     cases += [(gate, c, t) for gate in (Gate2x2.ry(-1.1), Gate2x2.x(), Gate2x2.p(0.4))
               for c in range(n) for t in range(n) if c != t]
     for gate, control, target in cases:
         s = random_state(n)
-        on = (idx >> target & 1 == 0) & (True if control is None else idx >> control & 1 == 1)
-        idx0 = idx[on]
-        idx1 = idx0 | 1 << target
-        (m00, m01), (m10, m11) = gate.matrix
-        a, b = s.amp[idx0], s.amp[idx1]
-        expected = s.amp.copy()
-        expected[idx0] = a * m00 + b * m01
-        expected[idx1] = b * m11 + a * m10
+        expected = rounding_oracle(s.amp, gate, control, target)
         if control is None:
             apply_1q(s, gate, target)
         else:
             apply_controlled(s, gate, control, target)
         assert np.array_equal(s.amp, expected), (gate.name, control, target)
+
+
+def test_long_runs_are_copied_in_capped_elements():
+    # the top qubit of 20 makes runs of 2**19 amplitudes; each copy moves
+    # them as 512 elements of 2**10, since numpy caps a void at 2**31 bytes
+    # (a 28-qubit state's top qubit would pass it)
+    s = random_state(20)
+    for gate, control in ((Gate2x2.ry(0.7), None), (Gate2x2.x(), 18), (Gate2x2.ry(-1.1), 0)):
+        expected = rounding_oracle(s.amp, gate, control, 19)
+        if control is None:
+            apply_1q(s, gate, 19)
+        else:
+            apply_controlled(s, gate, control, 19)
+        assert np.array_equal(s.amp, expected), (gate.name, control)
+    for entry in s._views.values():
+        runs = [v for v in entry if v.dtype.kind == "V"]
+        assert len(runs) == 2 and runs[0].shape == runs[1].shape
+        assert runs[0].dtype.itemsize * runs[0].size == 16 * entry[0].size
+        assert runs[0].dtype.itemsize == 16 * min(entry[0].shape[-1], 2**10)
 
 
 @pytest.mark.parametrize("qubit,outcome", [(0, 0), (2, 1), (4, 0), (4, 1)])
@@ -264,6 +291,29 @@ def test_postselect_in_place_matches_fresh(qubit, outcome):
     assert p == pytest.approx(p_want, rel=1e-14)
     assert np.max(np.abs(s.amp - want)) < 1e-15
     assert not np.any(s.amp[~kept])
+
+
+def test_postselect_rescales_like_complex_division():
+    # a real product with 1 / sqrt(p) gives numpy's complex quotient
+    # value for value, exact zeros of either sign included, and p is the
+    # squared norm summed as before: real parts, then imaginary parts
+    gen = np.random.default_rng(3)
+    for _ in range(4):
+        amp = gen.standard_normal(2**6) + 1j * gen.standard_normal(2**6)
+        amp /= np.linalg.norm(amp)
+        amp.real[gen.integers(64, size=8)] = 0.0
+        amp.imag[gen.integers(64, size=8)] = -0.0
+        amp[gen.integers(64, size=4)] = complex(-0.0, 0.0)
+        for qubit in range(6):
+            for outcome in (0, 1):
+                s = StateVector(6, amp.copy())
+                kept = amp.copy().reshape(-1, 2, 2**qubit)[:, outcome]
+                p = float(np.einsum("ij,ij->", kept.real, kept.real)
+                          + np.einsum("ij,ij->", kept.imag, kept.imag))
+                assert postselect(s, qubit, outcome) == p
+                after = s.amp.reshape(-1, 2, 2**qubit)
+                assert np.array_equal(after[:, outcome], kept / math.sqrt(p))
+                assert not np.any(after[:, 1 - outcome])
 
 
 def test_amp_must_be_updatable_in_place():
@@ -318,12 +368,6 @@ def test_gate2x2_unitarity():
 
 
 # ------------------------------------------------------------ view cache
-
-
-def scratch_views(state):
-    """The scratch views of every cached gate wiring: ab, ab reversed, uv."""
-    return [v for key, entry in state._views.items() if key[0] != "half" and len(entry) > 2
-            for v in entry[1:]]
 
 
 def test_cache_hits_match_dense_oracle():
@@ -408,9 +452,11 @@ def test_cached_views_share_one_scratch():
     assert np.max(np.abs(s.amp - expected)) < 1e-13
     work = s._views.work
     assert work is seen[-1] and len(s._views) == len(ops)
-    views = scratch_views(s)
-    assert len(views) == 3 * 3 + 2 * 2  # three general wirings, and two anti-diagonal
-    assert all(np.shares_memory(v, work) and not np.shares_memory(v, s.amp) for v in views)
+    # the pair and its run view of each wiring, or a diagonal gate's halves,
+    # alias the amplitudes; ab, ab reversed, ab's run view and a general
+    # gate's uv alias the buffer, for three general and two anti wirings
+    on_amp, on_work = views_by_buffer(s)
+    assert (len(on_amp), len(on_work)) == (2 * len(ops), 3 * 4 + 2 * 3)
 
 
 def test_copies_of_a_state_do_not_share_views():
