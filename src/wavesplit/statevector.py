@@ -11,7 +11,8 @@ probabilities (``splitting.simulate`` reports it as ``success_prob``).
 A gate updates a pair view of the amplitudes through scratch views.
 Both are per state: the first gate on a wiring checks its qubits and
 caches the views on the state, so later gates on it do only the
-arithmetic.  A state's scratch views are all carved from one buffer.
+arithmetic.  A state's scratch views are all carved from one buffer,
+which starts on a 64-byte boundary.
 """
 
 from __future__ import annotations
@@ -123,12 +124,19 @@ def _check_qubit(state: StateVector, qubit: int, role: str) -> None:
         raise ValueError(f"{role} qubit {qubit} out of range for {state.n_qubits} qubits")
 
 
+def _work(size: int) -> np.ndarray:
+    """``size`` empty amplitudes from a 64-byte boundary: numpy's loops on
+    the scratch ran up to 40% slower from other heap addresses."""
+    buf = np.empty(size + 3, dtype=complex)
+    return buf[-buf.ctypes.data % 64 // 16:][:size]
+
+
 @contextmanager
 def _shared_work(states, size: int):
     """Carve the scratch of every state in ``states`` from one new buffer
     of ``size`` amplitudes, and drop their caches on exit.  A state that
     needs more scratch meanwhile grows its own."""
-    work = np.empty(size, dtype=complex)
+    work = _work(size)
     for state in states:
         state._views = _Views(work)
     try:
@@ -160,7 +168,7 @@ def _carve(state: StateVector, key: tuple, target: int, control: int | None,
     size = pair.size * (1 if kind == "anti" else 2)
     if views.work is None or views.work.size < size:
         views.clear()  # every entry stays carved from the one buffer
-        views.work = np.empty(size, dtype=complex)
+        views.work = _work(size)
     scratch = views.work[:size].reshape((-1, *pair.shape))  # ab, and uv if general
     # pair and ab again, one element per run of the last axis, split so that
     # no element passes 2**10 amplitudes: numpy caps a void at 2**31 bytes

@@ -409,7 +409,7 @@ def test_simulate_shares_one_scratch_and_releases_it(monkeypatch):
 
     def spy(state, circuit):
         inner(state, circuit)
-        works.add((state.n_qubits, id(state._views.work)))
+        works.add((state.n_qubits, id(state._views.work), state._views.work.ctypes.data % 64))
     monkeypatch.setattr(splitting, "apply_circuit", spy)
     phi, dphi = random_fields(8)
     plan = build_step(get_scheme("strang"), ModeSystem(n=3, gamma=0.6), 0.1)
@@ -417,6 +417,7 @@ def test_simulate_shares_one_scratch_and_releases_it(monkeypatch):
     # full-width and half-state circuits ran, on one buffer of 2**n amplitudes
     nq = plan.n_qubits
     assert {w[0] for w in works} == {nq, nq - 1} and len({w[1] for w in works}) == 1
+    assert {w[2] for w in works} == {0}  # it starts on a 64-byte boundary
     assert not report.state._views and report.state._views.work is None
 
     # an ancilla flipped to |1> makes the next postselection degenerate

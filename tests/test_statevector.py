@@ -444,6 +444,7 @@ def test_cached_views_share_one_scratch():
         expected = gateop_matrix(op, 4) @ expected
         seen.append(s._views.work)
     assert [None if w is None else w.size for w in seen] == [None, 8, 16, 16, 32, 32]
+    assert all(w.ctypes.data % 64 == 0 for w in seen[1:])  # each buffer
     # growing the buffer dropped the entries carved from the smaller one
     assert set(s._views) == {(0, "general"), (1, 0, "general")}
     for op in ops:  # the dropped wirings are carved again, from the one buffer
