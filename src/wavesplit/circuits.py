@@ -90,10 +90,20 @@ class Circuit:
 
     @cached_property
     def gates(self) -> tuple[Gate2x2, ...]:
-        """One gate matrix per op, built on first use: plans that are only
-        counted, never applied, do not pay for them."""
-        table: dict = {}
-        return tuple(_op_gate(op, table) for op in self.ops)
+        """One gate matrix per op, looked up on first use: plans that are
+        only counted, never applied, do not pay for them."""
+        return tuple(_gate(_KINDS[kind][0], None if angle is None else float(angle).hex())
+                     for kind, _, _, angle in self.ops)
+
+    @cached_property
+    def lower(self) -> Circuit | None:
+        """The same ops on one qubit fewer, or None when an op targets or
+        controls the top qubit: while that qubit reads |0>, this copy runs
+        on the lower half of a state alone."""
+        top = self.n_qubits - 1
+        if any(top in (op.target, op.control) for op in self.ops):
+            return None
+        return Circuit(top, self.ops)
 
 
 @dataclass(frozen=True)
@@ -237,24 +247,15 @@ def damping_phase_gate(gamma_im_dt: float, sys: ModeSystem) -> Circuit:
     return Circuit(sys.n_qubits, (GateOp("P", sys.selector, None, -gamma_im_dt),))
 
 
-def _op_gate(op: GateOp, table: dict) -> Gate2x2:
-    # keyed by the matrix family and the angle's exact bits, so 0.0 and
-    # -0.0 stay apart
-    family = _KINDS[op.kind][0]
-    key = (family, None if op.angle is None else float(op.angle).hex())
-    gate = table.get(key)
-    if gate is None:
-        make = getattr(Gate2x2, family)
-        gate = table[key] = make() if op.angle is None else make(op.angle)
+@lru_cache(maxsize=1024)
+def _gate(family: str, angle_bits: str | None) -> Gate2x2:
+    """The one Gate2x2 of a matrix family and an angle, given by its exact
+    bits (``float.hex``) so that 0.0 and -0.0 stay apart.  A pass over the
+    benchmark's largest plans meets a few hundred distinct gates."""
+    make = getattr(Gate2x2, family)
+    gate = make() if angle_bits is None else make(float.fromhex(angle_bits))
+    gate.matrix.flags.writeable = False  # every circuit in the process shares it
     return gate
-
-
-def share_gates(circuits) -> None:
-    """Give every circuit its ``gates`` from one table: one Gate2x2 per
-    distinct (matrix family, angle) across all of them."""
-    table: dict = {}
-    for circuit in circuits:
-        vars(circuit)["gates"] = tuple(_op_gate(op, table) for op in circuit.ops)
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> None:

@@ -146,10 +146,7 @@ def convergence_sweep(scheme: SplittingScheme, sys: ModeSystem, t_final: float,
     window = fit_window if fit_window is not None else _default_window(rows)
     lo, hi = window
     picked = rows[lo:hi]
-    if len(picked) >= 2:
-        order = fit_order([r.dt for r in picked], [r.epsilon for r in picked])
-    else:
-        order = math.nan
+    order = fit_order([r.dt for r in picked], [r.epsilon for r in picked])
     return ConvergenceTable(rows, order, window)
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuits import ModeSystem
-from .statevector import StateVector
+from .statevector import StateVector, _work
 
 _EXPM_DIM_CAP = 64
 _CRITICAL_REL_TOL = 1e-12
@@ -195,8 +195,10 @@ def encode_initial(phi, dphi_scaled) -> StateVector:
     if not math.isfinite(nrm):
         raise ValueError("initial fields must be finite")
     n_data = int(pairs.n_modes).bit_length() - 1
-    amp = np.zeros(2 ** (n_data + 2), dtype=complex)
+    # from a 64-byte boundary, as the kernel's scratch
+    amp = _work(2 ** (n_data + 2))
     amp[: 2 * pairs.n_modes] = vec / nrm
+    amp[2 * pairs.n_modes:] = 0
     return StateVector(n_data + 2, amp)
 
 

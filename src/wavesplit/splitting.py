@@ -14,21 +14,23 @@ exactly into a real contraction and a phase, exp(D a dt) ==
 exp(D Re(a) dt) exp(i D Im(a) dt), because the dissipative generator is
 diagonal.  Phase stages with |Im(a)| < 1e-15 are omitted.
 
-``build_step`` builds no gate matrix; a plan's first ``simulate`` builds
-one Gate2x2 per distinct (matrix family, angle) for all its circuits.
+``build_step`` builds no gate matrix; a circuit looks its gates up on its
+first run, from one process-wide Gate2x2 per (matrix family, angle).
+``simulate`` runs the stage tuple as it stands.  A postselection leaves
+the ancilla-|1> half exactly zero, and the ancilla is the top qubit, so
+until a circuit acts on the ancilla, each circuit runs its ``lower`` copy
+on the ancilla-|0> half alone; that holds across step boundaries too.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .circuits import (Circuit, ModeSystem, apply_circuit, cnot_count,
-                       damping_phase_gate, damping_real_circuit, share_gates,
-                       wave_evolution_circuit)
+                       damping_phase_gate, damping_real_circuit, wave_evolution_circuit)
 from .reference import dense_expm
 from .schemes import SplittingScheme
 from .statevector import StateVector, _halves, _outcome_prob, _shared_work, postselect
@@ -70,26 +72,6 @@ class SplitStepPlan:
     def cnot_per_step(self) -> int:
         return sum(cnot_count(st.circuit) for st in self.stages
                    if st.circuit is not None)
-
-    @cached_property
-    def _schedule(self) -> tuple:
-        """What ``simulate`` runs for each stage: None for a postselection,
-        else a circuit.  From an ancilla postselection until a circuit acts
-        on the ancilla, its |1> half is exactly zero; the ancilla is the top
-        qubit, so the circuits in between run on the lower half alone, as
-        copies of themselves one qubit narrower.  All share one gate table."""
-        anc, n = self.sys.ancilla, self.n_qubits
-        out, clear = [], False
-        for st in self.stages:
-            if st.circuit is None:
-                out.append(None)
-                clear = True
-                continue
-            ops = st.circuit.ops
-            clear = clear and all(anc not in (op.target, op.control) for op in ops)
-            out.append(Circuit(n - 1, ops) if clear else st.circuit)
-        share_gates(c for c in out if c is not None)
-        return tuple(out)
 
     def stage_counts(self) -> dict[str, int]:
         counts = dict.fromkeys(STAGE_KINDS, 0)
@@ -174,13 +156,18 @@ def simulate(plan: SplitStepPlan, T: int, state: StateVector) -> RunReport:
         if _outcome_prob(_halves(state, anc, 1)) > 1e-12:
             raise ValueError("ancilla must start in |0>")
         t0 = time.perf_counter()
-        success = 1.0
+        success, clear = 1.0, False  # clear: the ancilla-|1> half is exactly zero
         for _ in range(T):
-            for circuit in plan._schedule:
+            for st in plan.stages:
+                circuit = st.circuit
                 if circuit is None:
                     success *= postselect(state, anc, 0)
+                    clear = True
+                elif clear and circuit.lower is not None:
+                    apply_circuit(low, circuit.lower)
                 else:
-                    apply_circuit(low if circuit.n_qubits < n else state, circuit)
+                    apply_circuit(state, circuit)
+                    clear = False
         wall = time.perf_counter() - t0
     per_step = plan.cnot_per_step
     return RunReport(

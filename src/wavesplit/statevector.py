@@ -113,6 +113,8 @@ class StateVector:
         n = int(amp.size).bit_length() - 1
         if 2**n != amp.size:
             raise ValueError(f"amplitude count {amp.size} is not a power of two")
+        if not np.isfinite(amp).all():
+            raise ValueError("amplitudes must be finite")
         nrm = float(np.linalg.norm(amp))
         if nrm == 0.0:
             raise ValueError("cannot normalize a zero state")
@@ -126,7 +128,8 @@ def _check_qubit(state: StateVector, qubit: int, role: str) -> None:
 
 def _work(size: int) -> np.ndarray:
     """``size`` empty amplitudes from a 64-byte boundary: numpy's loops on
-    the scratch ran up to 40% slower from other heap addresses."""
+    the scratch and the state ran up to 40% slower from other heap
+    addresses."""
     buf = np.empty(size + 3, dtype=complex)
     return buf[-buf.ctypes.data % 64 // 16:][:size]
 
@@ -259,7 +262,7 @@ def postselect(state: StateVector, qubit: int, outcome: int) -> float:
     """
     halves = _halves(state, qubit, outcome)
     p = _outcome_prob(halves)
-    if p < 1e-300:
+    if not p >= 1e-300:  # a NaN probability is degenerate too
         raise DegeneratePostselectionError(
             f"outcome {outcome} on qubit {qubit} has probability {p:.3e}")
     p = min(p, 1.0)

@@ -232,6 +232,30 @@ def test_apply_circuit_matches_matrix_path():
     assert np.max(np.abs(state.amp - expected)) < 1e-13
 
 
+def test_lower_copy_is_none_exactly_when_an_op_touches_the_top_qubit():
+    sys2 = ModeSystem(n=2, gamma=0.3)
+    anc, sel = sys2.ancilla, sys2.selector
+    for circ in (wave_evolution_circuit(sys2, 0.4), damping_phase_gate(0.2, sys2),
+                 Circuit(4, qft_circuit(3).ops)):
+        assert circ.lower == Circuit(circ.n_qubits - 1, circ.ops)
+        assert circ.lower is circ.lower
+    for ops in ((GateOp("RY", anc, angle=0.4),), (GateOp("CRY", sel, anc, 0.9),),
+                (GateOp("X", 0), GateOp("CRY", anc, sel, 0.9))):
+        assert Circuit(sys2.n_qubits, ops).lower is None
+    assert damping_real_circuit(0.1, sys2).lower is None
+
+
+def test_gates_are_shared_by_family_and_exact_angle():
+    a = Circuit(2, (GateOp("RY", 0, angle=0.0), GateOp("CRY", 1, 0, 0.0),
+                    GateOp("RY", 0, angle=-0.0), GateOp("CNOT", 0, 1), GateOp("X", 1))).gates
+    b = Circuit(3, (GateOp("CRY", 2, 1, 0.0), GateOp("P", 0, angle=0.0))).gates
+    # one matrix per family and angle across circuits; -0.0 and P stay apart
+    assert a[0] is a[1] is b[0] and a[3] is a[4]
+    assert a[2] is not a[0] and b[1] is not b[0]
+    with pytest.raises(ValueError):
+        a[0].matrix[0, 0] = 2.0
+
+
 def test_gate_matrices_built_once_on_first_application():
     circ = wave_evolution_circuit(ModeSystem(n=2, gamma=0.3), 0.4)
     assert "gates" not in vars(circ)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -150,6 +151,10 @@ def test_explicit_fit_window_overrides_default():
     table = convergence_sweep(get_scheme("strang"), sys4, 0.43, [8, 16, 32, 64],
                               fit_window=(0, 4))
     assert table.fit_window == (0, 4)
+    # one point fits no slope
+    table = convergence_sweep(get_scheme("strang"), sys4, 0.43, [8, 16, 32],
+                              fit_window=(0, 1))
+    assert table.fit_window == (0, 1) and math.isnan(table.fitted_order)
 
 
 @pytest.mark.parametrize("name,n,d,cnots,qubits", [

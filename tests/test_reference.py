@@ -247,6 +247,7 @@ def test_encode_initial_layout():
     flat = state.amp.reshape(-1)
     assert np.max(np.abs(flat[32:])) == 0.0  # ancilla |0>
     assert np.linalg.norm(flat) == pytest.approx(1.0, abs=1e-14)
+    assert state.amp.ctypes.data % 64 == 0  # a 64-byte boundary, as the scratch
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

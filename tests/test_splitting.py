@@ -386,6 +386,22 @@ def test_wave_before_any_postselect_runs_full_width():
                               simulate(plan, 1, StateVector(nq, start)).state.amp)
 
 
+def test_half_state_carries_across_steps(monkeypatch):
+    widths = []
+    inner = splitting.apply_circuit
+
+    def spy(state, circuit):
+        widths.append(state.n_qubits)
+        inner(state, circuit)
+    plan, _, _ = hand_built(lambda w, d, _: (w, d, POSTSELECT, w))
+    initial = warm_ancilla_initial(plan.sys)
+    monkeypatch.setattr(splitting, "apply_circuit", spy)
+    assert_matches_full_width(plan, 2, initial)
+    # step 2's leading wave follows step 1's postselection, so it runs narrow
+    nq = plan.n_qubits
+    assert widths == [nq, nq, nq - 1, nq - 1, nq, nq - 1]
+
+
 def test_ancilla_controlled_circuit_runs_full_width():
     def stages_of(wave, damp, sys_):
         anc, sel = sys_.ancilla, sys_.selector
@@ -430,21 +446,24 @@ def test_simulate_shares_one_scratch_and_releases_it(monkeypatch):
     assert not state._views and state._views.work is None
 
 
-# ------------------------------------------------------ one gate table a plan
-
-
-def scheduled_gates(plan):
-    return [g for c in plan._schedule if c is not None for g in c.gates]
+# ------------------------------------------------- one gate per distinct angle
 
 
 def test_plan_builds_one_gate_per_distinct_angle():
     # bernier6's b is palindromic and the three axes' ladders share angles
+    def gates_of(plan):
+        circs = [st.circuit for st in plan.stages if st.circuit is not None]
+        return ([g for c in circs for g in c.gates],
+                [g for c in circs if c.lower is not None for g in c.lower.gates])
+
     plan = build_step(get_scheme("bernier6"), ModeSystem(n=5, d=3, gamma=0.5), 0.7)
-    gates = scheduled_gates(plan)
-    assert len(gates) == 392 and len({id(g) for g in gates}) == 73
-    # a second plan builds its own table
-    again = build_step(get_scheme("bernier6"), ModeSystem(n=5, d=3, gamma=0.5), 0.7)
-    assert not {id(g) for g in gates} & {id(g) for g in scheduled_gates(again)}
+    full, lower = gates_of(plan)
+    assert len(full) == 392 and len({id(g) for g in full + lower}) == 73
+    # the narrow copies and a second plan of the same step get the same objects
+    assert {id(g) for g in lower} <= {id(g) for g in full}
+    full2, lower2 = gates_of(
+        build_step(get_scheme("bernier6"), ModeSystem(n=5, d=3, gamma=0.5), 0.7))
+    assert [id(g) for g in full2 + lower2] == [id(g) for g in full + lower]
 
 
 def test_plans_build_no_gates_until_run(monkeypatch):

@@ -46,6 +46,9 @@ def test_from_amplitudes_rejects_bad_input():
         StateVector.from_amplitudes(np.zeros(4))
     with pytest.raises(ValueError):
         StateVector.from_amplitudes(np.ones(3))
+    for bad in ([np.nan, 1.0], [np.inf, 1.0]):
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            StateVector.from_amplitudes(bad)
 
 
 def test_little_endian_bit_order():
@@ -359,6 +362,15 @@ def test_degenerate_postselect_leaves_out_untouched():
     with pytest.raises(DegeneratePostselectionError):
         postselect(s, qubit=0, outcome=1)
     assert np.array_equal(s.amp, [1, 0, 0, 0])
+
+
+def test_nan_postselect_raises_and_leaves_state_untouched():
+    # a NaN probability fails every comparison, so it must not pass as valid
+    s = StateVector(2, np.array([0.6, np.nan, 0.8, 0.0], dtype=complex))
+    before = s.amp.tobytes()
+    with pytest.raises(DegeneratePostselectionError, match="probability nan"):
+        postselect(s, qubit=0, outcome=1)
+    assert s.amp.tobytes() == before
 
 
 def test_gate2x2_unitarity():
