@@ -8,11 +8,17 @@ stay unit norm: ``postselect`` renormalizes and returns the outcome
 probability, and the caller keeps the running product of those
 probabilities (``splitting.simulate`` reports it as ``success_prob``).
 
-A gate updates a pair view of the amplitudes through scratch views.
-Both are per state: the first gate on a wiring checks its qubits and
-caches the views on the state, so later gates on it do only the
-arithmetic.  A state's scratch views are all carved from one buffer,
-which starts on a 64-byte boundary.
+A gate updates a pair view of the amplitudes (target 0 and 1, where the
+control is 1) by one of four branches: diag scales a half in place; swap
+copies the halves past each other, with no arithmetic for X and CNOT;
+rot (every RY and CRY) computes c a - s b and c b + s a from two
+scalars; general takes any other 2x2.  rot and general copy the pair to
+scratch, combine it there and copy it back, unless each half of the pair
+is one block (the gate acts on the top qubit or the top two): then they
+update the pair in place.  Views are per state: the first gate on a
+wiring checks its qubits and caches the views on the state, so later
+gates on it do only the arithmetic.  A state's scratch views are all
+carved from one buffer, which starts on a 64-byte boundary.
 """
 
 from __future__ import annotations
@@ -38,13 +44,22 @@ class Gate2x2:
 
     @cached_property
     def _entries(self) -> tuple:
-        """The kernel's branch ("diag", "anti" or "general"), then (m00, m11)
-        and (m01, m10) as views of the matrix shaped (2, 1, 1, 1), to
-        scale a pair view."""
+        """The kernel's branch and its two operands, fixed per gate.
+        "diag": the (half, entry) pairs whose entry is not 1, and None.
+        "swap" (anti-diagonal): the same for the half holding b, which
+        becomes m01 b, and the copy of a, which becomes m10 a, and None.
+        "rot" (m00 == m11 and m01 == -m10, so every RY): the scalars
+        c = m00 and s = m10.  "general": (m00, m11) and (m10, -m01) shaped
+        (2, 1, 1, 1) to scale a pair view."""
         m = np.asarray(self.matrix, dtype=complex)
         (a, b), (c, d) = m
-        kind = "diag" if b == 0 == c else "anti" if a == 0 == d else "general"
-        return kind, m.diagonal().reshape(2, 1, 1, 1), m[:, ::-1].diagonal().reshape(2, 1, 1, 1)
+        if b == 0 == c:
+            return "diag", tuple((h, k) for h, k in ((0, a), (1, d)) if k != 1), None
+        if a == 0 == d:
+            return "swap", tuple((h, k) for h, k in ((0, b), (1, c)) if k != 1), None
+        if a == d and b == -c:
+            return "rot", a, c
+        return "general", m.diagonal().reshape(2, 1, 1, 1), np.array([c, -b]).reshape(2, 1, 1, 1)
 
     @classmethod
     def ry(cls, theta: float) -> "Gate2x2":
@@ -115,9 +130,15 @@ class StateVector:
             raise ValueError(f"amplitude count {amp.size} is not a power of two")
         if not np.isfinite(amp).all():
             raise ValueError("amplitudes must be finite")
-        nrm = float(np.linalg.norm(amp))
-        if nrm == 0.0:
-            raise ValueError("cannot normalize a zero state")
+        with np.errstate(over="ignore"):
+            nrm = float(np.linalg.norm(amp))
+        if not 0.0 < nrm < math.inf:  # the squares underflowed or overflowed
+            top = float(np.max(np.abs([amp.real, amp.imag])))
+            if top == 0.0:
+                raise ValueError("cannot normalize a zero state")
+            # a real quotient per part: a complex one overflows past 1 / top
+            amp = (np.stack((amp.real, amp.imag), axis=-1) / top).view(complex)[:, 0]
+            nrm = float(np.linalg.norm(amp))
         return cls(n, amp / nrm)
 
 
@@ -151,12 +172,15 @@ def _shared_work(states, size: int):
 
 def _carve(state: StateVector, key: tuple, target: int, control: int | None,
            kind: str) -> tuple:
-    """Cache and return the views ``_combine`` takes for one wiring: the
-    halves of the pair view for a diagonal gate, else the pair, its
-    scratch copy ``ab``, ``ab`` reversed, for a general gate ``uv``, and
-    the pair and ``ab`` as runs.  The pair view stacks the target-0 and
-    target-1 amplitudes where the control is 1; C order puts high qubits
-    first, so its last axis is a contiguous run of amplitudes."""
+    """Cache and return the views ``_combine`` takes for one wiring.  The
+    pair view stacks the target-0 and target-1 amplitudes where the
+    control is 1; C order puts high qubits first, so its last axis is a
+    contiguous run of amplitudes.  A diagonal gate takes the pair's
+    halves.  A swap takes the pair's first half, a scratch copy of one
+    half, then the pair's halves and the copy as runs.  A rotation or
+    general gate takes the scratch ``ab``, its halves, the scratch ``uv``,
+    its halves, then the pair and ``ab`` as runs; where each half of the
+    pair is one block, ``ab`` is the pair itself and there are no runs."""
     n, views = state.n_qubits, state._views
     if control is None:
         pair = state.amp.reshape(2 ** (n - 1 - target), 2, 1, 2**target).transpose(1, 0, 2, 3)
@@ -168,59 +192,88 @@ def _carve(state: StateVector, key: tuple, target: int, control: int | None,
     if kind == "diag":
         views[key] = tuple(pair)
         return views[key]
-    size = pair.size * (1 if kind == "anti" else 2)
+    in_place = kind != "swap" and pair.shape[1] == pair.shape[2] == 1
+    shape = pair.shape[1:] if kind == "swap" else pair.shape if in_place else (2, *pair.shape)
+    size = math.prod(shape)
     if views.work is None or views.work.size < size:
         views.clear()  # every entry stays carved from the one buffer
         views.work = _work(size)
-    scratch = views.work[:size].reshape((-1, *pair.shape))  # ab, and uv if general
-    # pair and ab again, one element per run of the last axis, split so that
+    scratch = views.work[:size].reshape(shape)
+    if in_place:
+        views[key] = (pair, *pair, scratch, *scratch)
+        return views[key]
+    # a copy moves one void element per run of the last axis, split so that
     # no element passes 2**10 amplitudes: numpy caps a void at 2**31 bytes
     run = min(pair.shape[-1], 2**10)
-    split, void = (*pair.shape[:-1], -1, run), np.dtype((np.void, 16 * run))
-    runs = tuple(v.reshape(split).view(void) for v in (pair, scratch[0]))
-    views[key] = (pair, scratch[0], scratch[0, ::-1], *scratch[1:], *runs)
+    void = np.dtype((np.void, 16 * run))
+
+    def runs(v):
+        return v.reshape(*v.shape[:-1], -1, run).view(void)
+
+    if kind == "swap":
+        views[key] = (pair[0], scratch, *runs(pair), runs(scratch))
+    else:
+        ab, uv = scratch
+        views[key] = (ab, *ab, uv, *uv, runs(pair), runs(ab))
     return views[key]
 
 
-def _combine(kind: str, diag: np.ndarray, cross: np.ndarray, views: tuple) -> None:
-    """Apply the 2x2 with entries ``diag`` and ``cross`` to the cached views."""
+def _combine(kind: str, p, q, views: tuple) -> None:
+    """Apply a gate with ``_entries`` (kind, p, q) to the cached views."""
     if kind == "diag":
-        for k, half in zip(diag.flat, views):
-            if k != 1:
-                half *= k
+        for h, k in p:
+            half = views[h]
+            half *= k
         return
     # A strided ufunc pays per run of contiguous amplitudes, and a low
     # control qubit makes the runs short; a copy of whole runs pays far
-    # less.  So the pair is copied out once, combined contiguously, copied back.
-    if kind == "anti":
-        pair, ab, ba, pair_runs, ab_runs = views
-        np.copyto(ab_runs, pair_runs)
-        np.multiply(ba, cross, out=pair)
+    # less.  So a swap moves a out to scratch, b down to a and the scratch
+    # up to b; a rotation or general gate copies the pair out once,
+    # combines it contiguously and copies it back, unless each half is one
+    # block: then it updates the pair in place, since the copies would
+    # cost more than they save.
+    if kind == "swap":
+        _, _, a_runs, b_runs, copy_runs = views
+        np.copyto(copy_runs, a_runs)
+        np.copyto(a_runs, b_runs)
+        for h, k in p:
+            half = views[h]
+            half *= k
+        np.copyto(b_runs, copy_runs)
         return
-    pair, ab, ba, uv, pair_runs, ab_runs = views
-    np.copyto(ab_runs, pair_runs)
-    np.multiply(ba, cross, out=uv)  # (m01 b, m10 a)
-    ab *= diag
-    ab += uv
-    np.copyto(pair_runs, ab_runs)
+    # a rotation: c a - s b and c b + s a, with scalars c = p and s = q; a
+    # general gate: m00 a - (-m01) b and m11 b + m10 a, the same bits as
+    # m00 a + m01 b since negation is exact
+    copy = len(views) == 8
+    if copy:
+        ab, a, b, uv, u, v, pair_runs, ab_runs = views
+        np.copyto(ab_runs, pair_runs)
+    else:
+        ab, a, b, uv, u, v = views
+    np.multiply(ab, q, out=uv)
+    ab *= p
+    a -= v
+    b += u
+    if copy:
+        np.copyto(pair_runs, ab_runs)
 
 
 def apply_1q(state: StateVector, gate: Gate2x2, target: int) -> None:
     """Apply a single-qubit gate to ``state`` in place.  The first gate on
     a wiring checks it and caches its views on the state; later gates on
     that wiring do only the arithmetic."""
-    kind, diag, cross = gate._entries
+    kind, p, q = gate._entries
     views = state._views.get((target, kind))
     if views is None:
         _check_qubit(state, target, "target")
         views = _carve(state, (target, kind), target, None, kind)
-    _combine(kind, diag, cross, views)
+    _combine(kind, p, q, views)
 
 
 def apply_controlled(state: StateVector, gate: Gate2x2, control: int, target: int) -> None:
     """Apply ``gate`` to ``target`` on the control == 1 subspace, in place,
     with views cached per wiring as in ``apply_1q``."""
-    kind, diag, cross = gate._entries
+    kind, p, q = gate._entries
     views = state._views.get((target, control, kind))
     if views is None:
         _check_qubit(state, control, "control")
@@ -228,7 +281,7 @@ def apply_controlled(state: StateVector, gate: Gate2x2, control: int, target: in
         if control == target:
             raise ValueError("control and target must be distinct qubits")
         views = _carve(state, (target, control, kind), target, control, kind)
-    _combine(kind, diag, cross, views)
+    _combine(kind, p, q, views)
 
 
 def _halves(state: StateVector, qubit: int, bit: int) -> tuple:

@@ -137,3 +137,23 @@ def views_by_buffer(state) -> tuple[list, list]:
             assert amp != work, v.shape
             (on_amp if amp else on_work).append(v)
     return on_amp, on_work
+
+
+def expected_views(n_qubits: int, key: tuple) -> tuple[int, int, int]:
+    """(views aliasing the amplitudes, views aliasing the scratch, run
+    views) of the cached wiring ``key`` = (target, [control,] kind), as the
+    kernel lays them out.  A diagonal gate takes the pair's two halves.  A
+    swap takes the pair's first half, a scratch copy of one half, and
+    those three halves as runs.  A rotation or general gate whose pair
+    halves are each one block (its qubits are the top one or two) takes
+    the pair, its halves, and the scratch uv and its halves; any other
+    takes the scratch ab, its halves, uv, its halves, and the pair and ab
+    as runs."""
+    *wiring, kind = key
+    if kind == "diag":
+        return 2, 0, 0
+    if kind == "swap":
+        return 3, 2, 3
+    if sorted(wiring) == list(range(n_qubits - len(wiring), n_qubits)):
+        return 3, 3, 0
+    return 1, 7, 2

@@ -21,7 +21,7 @@ from wavesplit.harness import (damping_contraction_error, damping_phase_error, q
                                wave_block_error)
 from wavesplit.statevector import StateVector
 
-from helpers import circuit_matrix, views_by_buffer
+from helpers import circuit_matrix, expected_views, views_by_buffer
 
 rng = np.random.default_rng(11)
 
@@ -281,10 +281,11 @@ def test_apply_circuit_gates_share_one_scratch(make):
     work = state._views.work
     has_ry = any(op.kind == "RY" for op in circ.ops)
     assert work.size == 2 ** (circ.n_qubits + has_ry)
-    # each wiring's pair and its run view (or a diagonal gate's two halves)
-    # alias the amplitudes, and every scratch view the one buffer
+    # each wiring's views alias the amplitudes or the one buffer, as many
+    # of each as its kernel branch lays out
     on_amp, on_work = views_by_buffer(state)
-    assert on_work and len(on_amp) == 2 * len(state._views)
+    assert on_work and (len(on_amp), len(on_work)) == tuple(
+        sum(expected_views(circ.n_qubits, key)[i] for key in state._views) for i in (0, 1))
     apply_circuit(state, circ)  # a second run carves nothing new
     assert state._views.work is work
 

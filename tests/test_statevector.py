@@ -18,7 +18,7 @@ from wavesplit.statevector import (
     postselect,
 )
 
-from helpers import embed_2x2, gateop_matrix, views_by_buffer
+from helpers import embed_2x2, expected_views, gateop_matrix, views_by_buffer
 
 rng = np.random.default_rng(7)
 
@@ -49,6 +49,22 @@ def test_from_amplitudes_rejects_bad_input():
     for bad in ([np.nan, 1.0], [np.inf, 1.0]):
         with pytest.raises(ValueError, match="amplitudes must be finite"):
             StateVector.from_amplitudes(bad)
+
+
+def test_from_amplitudes_scales_norms_that_overflow_or_underflow():
+    # the plain norm of these is inf or 0; each is scaled by its largest
+    # part first, with no RuntimeWarning (the suite turns one into an error)
+    for amps, want in (([1e200, 1e200], [1, 1]), ([1e-170, 1e-170], [1, 1]),
+                       ([1.7e308 + 1.7e308j, -1e308], [1.7 + 1.7j, -1]),
+                       ([5e-324j, 0], [1j, 0])):
+        s = StateVector.from_amplitudes(amps)
+        want = np.array(want) / np.linalg.norm(want)
+        assert np.max(np.abs(s.amp - want)) < 1e-15, amps
+    # a finite nonzero plain norm divides as before, bit for bit
+    for plain in ([3.0, 4.0], [1e150, -2e150j], [1e-150, 3e-151]):
+        amp = np.asarray(plain, dtype=complex)
+        want = (amp / np.linalg.norm(amp)).tobytes()
+        assert StateVector.from_amplitudes(plain).amp.tobytes() == want
 
 
 def test_little_endian_bit_order():
@@ -188,19 +204,22 @@ def test_kernel_branches_with_asymmetric_entries(matrix):
 def kernel_draws(draw):
     """(n, target, control, matrix, seed): a random complex 2x2 with
     entries zeroed at random, drawn so that every branch of the kernel
-    (diagonal, anti-diagonal, general) is hit."""
+    (diagonal, swap, rotation, general) is hit."""
     n = draw(st.sampled_from(range(1, 7)))
     target = draw(st.sampled_from(range(n)))
     control = draw(st.sampled_from([None, *(q for q in range(n) if q != target)]))
     # the entries (m00, m01, m10, m11) a diagonal, anti-diagonal or general
-    # matrix may use; one of them is zeroed at random, or none
-    used = draw(st.sampled_from([(0, 3), (1, 2), (0, 1, 2, 3)]))
+    # matrix may use, or (m00, m01) of a rotation; one of them is zeroed at
+    # random, or none
+    used = draw(st.sampled_from([(0, 3), (1, 2), (0, 1, 2, 3), (0, 1)]))
     zero = draw(st.sampled_from([None, *used]))
     part = st.floats(-2, 2, allow_nan=False, allow_infinity=False)
     matrix = np.zeros(4, dtype=complex)
     for i in used:
         if i != zero:
             matrix[i] = complex(draw(part), draw(part))
+    if used == (0, 1):  # m10 = -m01 and m11 = m00
+        matrix[2:] = -matrix[1], matrix[0]
     matrix = matrix.reshape(2, 2)
     return n, target, control, matrix, draw(st.integers(0, 2**32 - 1))
 
@@ -244,13 +263,23 @@ def rounding_oracle(amp, gate, control, target):
     return expected
 
 
+# rotations with complex c and s, and anti-diagonals with one entry 1
+ROT = Gate2x2(np.array([[0.6 + 0.3j, 0.2 - 0.7j], [-0.2 + 0.7j, 0.6 + 0.3j]]))
+ROT_TINY = Gate2x2(np.array([[1 - 1e-9j, -3e-200j], [3e-200j, 1 - 1e-9j]]))
+SWAP_SCALED = (Gate2x2(np.array([[0, 1], [2.5 - 1j, 0]])),
+               Gate2x2(np.array([[0, -0.5j], [1, 0]])))
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 10])
 def test_kernel_rounding_order(n):
     # byte-identical CSVs rest on each gate computing m00 a + m01 b and
     # m11 b + m10 a in this order, with no fused or reassociated arithmetic;
-    # at 10 qubits the copies move runs of 1 to 512 amplitudes
-    cases = [(Gate2x2.ry(0.7), None, t) for t in range(n)]
-    cases += [(gate, c, t) for gate in (Gate2x2.ry(-1.1), Gate2x2.x(), Gate2x2.p(0.4))
+    # a rotation computes c a - s b, which is the same value; at 10 qubits
+    # the copies move runs of 1 to 512 amplitudes
+    cases = [(gate, None, t) for gate in (Gate2x2.ry(0.7), ROT, *SWAP_SCALED) for t in range(n)]
+    cases += [(gate, c, t)
+              for gate in (Gate2x2.ry(-1.1), Gate2x2.x(), Gate2x2.p(0.4), ROT, ROT_TINY,
+                           *SWAP_SCALED)
               for c in range(n) for t in range(n) if c != t]
     for gate, control, target in cases:
         s = random_state(n)
@@ -263,22 +292,52 @@ def test_kernel_rounding_order(n):
 
 
 def test_long_runs_are_copied_in_capped_elements():
-    # the top qubit of 20 makes runs of 2**19 amplitudes; each copy moves
-    # them as 512 elements of 2**10, since numpy caps a void at 2**31 bytes
-    # (a 28-qubit state's top qubit would pass it)
+    # the top qubits of 20 make runs of up to 2**19 amplitudes; each copy
+    # moves them as elements of 2**10, since numpy caps a void at 2**31
+    # bytes (a 28-qubit state's top qubit would pass it).  A rotation whose
+    # pair halves are each one block (on qubit 19, or on qubits 18 and 19)
+    # is updated in place and copies nothing; a swap always copies.  The
+    # largest scratch comes first, so that no entry is dropped.
     s = random_state(20)
-    for gate, control in ((Gate2x2.ry(0.7), None), (Gate2x2.x(), 18), (Gate2x2.ry(-1.1), 0)):
-        expected = rounding_oracle(s.amp, gate, control, 19)
+    cases = ((Gate2x2.ry(1.3), None, 18), (Gate2x2.ry(0.7), None, 19), (Gate2x2.ry(0.7), 18, 19),
+             (Gate2x2.x(), 18, 19), (Gate2x2.ry(-0.3), 19, 18), (Gate2x2.ry(-1.1), 0, 19))
+    for gate, control, target in cases:
+        expected = rounding_oracle(s.amp, gate, control, target)
         if control is None:
-            apply_1q(s, gate, 19)
+            apply_1q(s, gate, target)
         else:
-            apply_controlled(s, gate, control, 19)
-        assert np.array_equal(s.amp, expected), (gate.name, control)
-    for entry in s._views.values():
+            apply_controlled(s, gate, control, target)
+        assert np.array_equal(s.amp, expected), (gate.name, control, target)
+    assert len(s._views) == len(cases)
+    for key, entry in s._views.items():
         runs = [v for v in entry if v.dtype.kind == "V"]
-        assert len(runs) == 2 and runs[0].shape == runs[1].shape
-        assert runs[0].dtype.itemsize * runs[0].size == 16 * entry[0].size
-        assert runs[0].dtype.itemsize == 16 * min(entry[0].shape[-1], 2**10)
+        assert len(runs) == expected_views(20, key)[2], key
+        if not runs:  # in place: the first view is the pair, each half one block
+            assert np.shares_memory(entry[0], s.amp) and entry[0].shape[1:3] == (1, 1)
+            continue
+        # a swap's runs cover one half (its scratch), a rotation's the pair (ab)
+        block = entry[1] if key[-1] == "swap" else entry[0]
+        assert all(r.shape == runs[0].shape for r in runs)
+        assert runs[0].dtype.itemsize * runs[0].size == 16 * block.size
+        assert runs[0].dtype.itemsize == 16 * min(block.shape[-1], 2**10)
+
+
+def test_rotations_and_swaps_carry_no_matrix():
+    # every RY is a rotation with two scalars, or the identity diagonal,
+    # and an X swaps its halves without a scale
+    for theta in (0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi, 2 * math.pi, 1e-300):
+        kind, p, q = Gate2x2.ry(theta)._entries
+        assert kind in ("rot", "diag"), theta
+        if kind == "rot":
+            assert np.ndim(p) == np.ndim(q) == 0
+            assert (p, q) == (math.cos(theta / 2), math.sin(theta / 2))
+        else:
+            assert theta == 0.0 and p == ()
+    assert Gate2x2.x()._entries == ("swap", (), None)
+    assert ROT._entries[0] == ROT_TINY._entries[0] == "rot"
+    assert [g._entries[1] for g in SWAP_SCALED] == [((1, 2.5 - 1j),), ((0, -0.5j),)]
+    kind, p, q = Gate2x2(np.array([[1 + 1j, 2], [-0.5j, 3]]))._entries
+    assert kind == "general" and p.shape == q.shape == (2, 1, 1, 1)
 
 
 @pytest.mark.parametrize("qubit,outcome", [(0, 0), (2, 1), (4, 0), (4, 1)])
@@ -444,32 +503,40 @@ def test_bad_wiring_raises_the_same_message_every_call(call, message):
 
 
 def test_cached_views_share_one_scratch():
-    # needs grow from none (diagonal) to the pair (anti-diagonal) to twice
-    # the pair of a controlled and then of a single-qubit general gate
+    # needs grow from none (diagonal) to half the pair (swap) to twice the
+    # pair of a controlled and then of a single-qubit rotation; rotations
+    # updated in place on the top qubits need one pair, and grow nothing
     s = random_state(4)
     ops = [GateOp("P", 1, angle=0.3), GateOp("CNOT", 0, 2), GateOp("CRY", 3, 1, 0.5),
-           GateOp("X", 2), GateOp("RY", 0, angle=0.9), GateOp("CRY", 1, 0, 0.2)]
+           GateOp("X", 2), GateOp("RY", 0, angle=0.9), GateOp("CRY", 1, 0, 0.2),
+           GateOp("CRY", 3, 2, -0.4), GateOp("RY", 3, angle=1.7)]
     expected = s.amp.copy()
     seen = []
     for op in ops:
         apply_op(s, op)
         expected = gateop_matrix(op, 4) @ expected
         seen.append(s._views.work)
-    assert [None if w is None else w.size for w in seen] == [None, 8, 16, 16, 32, 32]
+    assert [None if w is None else w.size for w in seen] == [None, 4, 16, 16, 32, 32, 32, 32]
     assert all(w.ctypes.data % 64 == 0 for w in seen[1:])  # each buffer
     # growing the buffer dropped the entries carved from the smaller one
-    assert set(s._views) == {(0, "general"), (1, 0, "general")}
+    assert set(s._views) == {(0, "rot"), (1, 0, "rot"), (3, 2, "rot"), (3, "rot")}
     for op in ops:  # the dropped wirings are carved again, from the one buffer
         apply_op(s, op)
         expected = gateop_matrix(op, 4) @ expected
     assert np.max(np.abs(s.amp - expected)) < 1e-13
     work = s._views.work
     assert work is seen[-1] and len(s._views) == len(ops)
-    # the pair and its run view of each wiring, or a diagonal gate's halves,
-    # alias the amplitudes; ab, ab reversed, ab's run view and a general
-    # gate's uv alias the buffer, for three general and two anti wirings
+    # a diagonal gate's halves alias the amplitudes; so do a swap's first
+    # half and its halves' runs, the pair's runs of three copied rotations,
+    # and the pair and its halves of two in-place ones.  A swap's copy and
+    # its runs, a copied rotation's ab, uv, their halves and ab's runs, and
+    # an in-place rotation's uv and its halves alias the buffer.
     on_amp, on_work = views_by_buffer(s)
-    assert (len(on_amp), len(on_work)) == (2 * len(ops), 3 * 4 + 2 * 3)
+    assert (len(on_amp), len(on_work)) == (2 + 2 * 3 + 3 * 1 + 2 * 3, 2 * 2 + 3 * 7 + 2 * 3)
+    assert (len(on_amp), len(on_work)) == tuple(
+        sum(expected_views(4, key)[i] for key in s._views) for i in (0, 1))
+    for key, entry in s._views.items():  # run views exactly where copies are made
+        assert sum(v.dtype.kind == "V" for v in entry) == expected_views(4, key)[2], key
 
 
 def test_copies_of_a_state_do_not_share_views():
