@@ -7,7 +7,8 @@ decomposition) and plain rotations worth zero.
 
 Every circuit uses one register layout (``ModeSystem``): the n*d data
 qubits first, dimension by dimension, then the selector qubit, then the
-damping ancilla on top.
+damping ancilla on top.  The three stage builders below return one
+shared, frozen circuit per distinct argument.
 
 The wave evolution circuit realizes, on one dimension's data register
 plus the shared selector qubit, the block-diagonal rotation
@@ -30,7 +31,7 @@ complex damping coefficient needs only a phase gate on the selector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -56,10 +57,12 @@ class GateOp(NamedTuple):
 
 
 @lru_cache(maxsize=4096)
-def _check_wiring(n_qubits: int, kind: str, target: int, control: int | None) -> bool:
+def _check_wiring(n_qubits: int, kind: str, target: int,
+                  control: int | None) -> tuple[bool, int]:
     """Raise on a wiring that does not fit ``n_qubits``, else tell whether
-    the kind takes an angle.  A plan repeats a few wirings many times, so
-    each is checked once; a rejection raises and is never cached."""
+    the kind takes an angle and what it costs in CNOTs.  A plan repeats a
+    few wirings many times, so each is checked once; a rejection raises
+    and is never cached."""
     if kind not in _KINDS:
         raise ValueError(f"unknown gate kind {kind!r}")
     family, cost = _KINDS[kind]
@@ -72,21 +75,27 @@ def _check_wiring(n_qubits: int, kind: str, target: int, control: int | None) ->
             raise ValueError("control equals target")
     elif control is not None:
         raise ValueError(f"{kind} takes no control qubit")
-    return family != "x"
+    return family != "x", cost
 
 
 @dataclass(frozen=True)
 class Circuit:
+    """Ops applied in order to ``n_qubits`` qubits.  ``cnots``, the total
+    CNOT cost, is summed once while the ops are checked."""
+
     n_qubits: int
     ops: tuple[GateOp, ...]
+    cnots: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
-        n = self.n_qubits
+        n, cnots = self.n_qubits, 0
         for kind, target, control, angle in self.ops:
-            if _check_wiring(n, kind, target, control) and (
-                    angle is None or not math.isfinite(angle)):
+            takes_angle, cost = _check_wiring(n, kind, target, control)
+            if takes_angle and (angle is None or not math.isfinite(angle)):
                 raise ValueError(f"{kind} needs a finite angle")
+            cnots += cost
+        object.__setattr__(self, "cnots", cnots)
 
     @cached_property
     def gates(self) -> tuple[Gate2x2, ...]:
@@ -215,13 +224,7 @@ def wave_evolution_circuit(sys: ModeSystem, tau: float, dim: int = 0) -> Circuit
         raise ValueError("tau must be finite")
     if not 0 <= dim < sys.d:
         raise ValueError(f"dimension {dim} out of range for d={sys.d}")
-    data = range(dim * sys.n, (dim + 1) * sys.n)
-    sel = sys.selector
-    top = data[-1]
-    flip = GateOp("CNOT", sel, top)
-    ladder = [GateOp("CRY", sel, q, -(2.0**r) * tau) for r, q in enumerate(data)]
-    return Circuit(sys.n_qubits, (
-        flip, *ladder, flip, GateOp("CRY", sel, top, -(2.0**sys.n) * tau)))
+    return _built("wave", sys.n, sys.d, float(tau).hex(), dim)
 
 
 def damping_real_circuit(gamma_dt: float, sys: ModeSystem) -> Circuit:
@@ -232,8 +235,7 @@ def damping_real_circuit(gamma_dt: float, sys: ModeSystem) -> Circuit:
     """
     if not math.isfinite(gamma_dt) or gamma_dt < 0:
         raise ValueError("dissipative stage needs a nonnegative finite argument")
-    angle = 2.0 * math.acos(math.exp(-gamma_dt))
-    return Circuit(sys.n_qubits, (GateOp("CRY", sys.ancilla, sys.selector, angle),))
+    return _built("damp_real", sys.n, sys.d, float(gamma_dt).hex())
 
 
 def damping_phase_gate(gamma_im_dt: float, sys: ModeSystem) -> Circuit:
@@ -244,7 +246,30 @@ def damping_phase_gate(gamma_im_dt: float, sys: ModeSystem) -> Circuit:
     """
     if not math.isfinite(gamma_im_dt):
         raise ValueError("phase stage needs a finite argument")
-    return Circuit(sys.n_qubits, (GateOp("P", sys.selector, None, -gamma_im_dt),))
+    return _built("damp_phase", sys.n, sys.d, float(gamma_im_dt).hex())
+
+
+@lru_cache(maxsize=128)
+def _built(builder: str, n: int, d: int, arg_bits: str, dim: int = 0) -> Circuit:
+    """The one Circuit of a builder and its checked arguments, shared by
+    every caller: symmetric schemes repeat their coefficients, so a step
+    plan holds each distinct circuit several times.  The key is the exact
+    bits of the argument (``float.hex``), so that 0.0 and -0.0 stay apart,
+    and the ints the ops depend on; gamma, c and L do not enter them.  The
+    bound holds the 48 distinct circuits of a bernier6 d=3 plan."""
+    x, sys = float.fromhex(arg_bits), ModeSystem(n, d)
+    sel = sys.selector
+    if builder == "wave":
+        data = range(dim * n, (dim + 1) * n)
+        top = data[-1]
+        flip = GateOp("CNOT", sel, top)
+        ladder = [GateOp("CRY", sel, q, -(2.0**r) * x) for r, q in enumerate(data)]
+        ops = (flip, *ladder, flip, GateOp("CRY", sel, top, -(2.0**n) * x))
+    elif builder == "damp_real":
+        ops = (GateOp("CRY", sys.ancilla, sel, 2.0 * math.acos(math.exp(-x))),)
+    else:
+        ops = (GateOp("P", sel, None, -x),)
+    return Circuit(sys.n_qubits, ops)
 
 
 @lru_cache(maxsize=1024)
@@ -288,7 +313,7 @@ def circuit_to_matrix(circuit: Circuit) -> np.ndarray:
 
 
 def cnot_count(circuit: Circuit) -> int:
-    return sum(_KINDS[op.kind][1] for op in circuit.ops)
+    return circuit.cnots
 
 
 def circuit_dump(circuit: Circuit) -> str:

@@ -14,8 +14,13 @@ exactly into a real contraction and a phase, exp(D a dt) ==
 exp(D Re(a) dt) exp(i D Im(a) dt), because the dissipative generator is
 diagonal.  Phase stages with |Im(a)| < 1e-15 are omitted.
 
-``build_step`` builds no gate matrix; a circuit looks its gates up on its
-first run, from one process-wide Gate2x2 per (matrix family, angle).
+The circuit builders return one shared Circuit per distinct argument, so
+stages of equal kind and param (and, for waves, dimension) hold the same
+object; ``build_step`` still calls a builder once per circuit stage.  It
+builds no gate matrix: a circuit looks its gates up on its first run,
+from one process-wide Gate2x2 per (matrix family, angle), and a shared
+circuit does so once.
+
 ``simulate`` runs the stage tuple as it stands.  A postselection leaves
 the ancilla-|1> half exactly zero, and the ancilla is the top qubit, so
 until a circuit acts on the ancilla, each circuit runs its ``lower`` copy
@@ -29,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import (Circuit, ModeSystem, apply_circuit, cnot_count,
-                       damping_phase_gate, damping_real_circuit, wave_evolution_circuit)
+from .circuits import (Circuit, ModeSystem, apply_circuit, damping_phase_gate,
+                       damping_real_circuit, wave_evolution_circuit)
 from .reference import dense_expm
 from .schemes import SplittingScheme
 from .statevector import StateVector, _halves, _outcome_prob, _shared_work, postselect
@@ -70,8 +75,7 @@ class SplitStepPlan:
 
     @property
     def cnot_per_step(self) -> int:
-        return sum(cnot_count(st.circuit) for st in self.stages
-                   if st.circuit is not None)
+        return sum(st.circuit.cnots for st in self.stages if st.circuit is not None)
 
     def stage_counts(self) -> dict[str, int]:
         counts = dict.fromkeys(STAGE_KINDS, 0)

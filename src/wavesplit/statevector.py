@@ -117,7 +117,8 @@ class StateVector:
     def basis(cls, n_qubits: int, index: int = 0) -> "StateVector":
         if not 0 <= index < 2**n_qubits:
             raise ValueError(f"basis index {index} out of range for {n_qubits} qubits")
-        amp = np.zeros(2**n_qubits, dtype=complex)
+        amp = _work(2**n_qubits)
+        amp.fill(0)
         amp[index] = 1.0
         return cls(n_qubits, amp)
 
@@ -139,7 +140,7 @@ class StateVector:
             # a real quotient per part: a complex one overflows past 1 / top
             amp = (np.stack((amp.real, amp.imag), axis=-1) / top).view(complex)[:, 0]
             nrm = float(np.linalg.norm(amp))
-        return cls(n, amp / nrm)
+        return cls(n, np.divide(amp, nrm, out=_work(amp.size)))
 
 
 def _check_qubit(state: StateVector, qubit: int, role: str) -> None:
@@ -150,7 +151,8 @@ def _check_qubit(state: StateVector, qubit: int, role: str) -> None:
 def _work(size: int) -> np.ndarray:
     """``size`` empty amplitudes from a 64-byte boundary: numpy's loops on
     the scratch and the state ran up to 40% slower from other heap
-    addresses."""
+    addresses, so ``basis``, ``from_amplitudes`` and ``encode_initial``
+    start their states there too."""
     buf = np.empty(size + 3, dtype=complex)
     return buf[-buf.ctypes.data % 64 // 16:][:size]
 

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from wavesplit import circuits
 from wavesplit.circuits import (
     GATE_KINDS,
     Circuit,
@@ -135,6 +138,67 @@ def test_qft_cnot_budget(n, count):
     assert count == n * (n - 1) + 3 * (n // 2)
 
 
+def per_op_cnots(circ: Circuit) -> int:
+    return sum(circuits._KINDS[op.kind][1] for op in circ.ops)
+
+
+def test_cnot_count_is_the_per_op_sum():
+    user = [
+        Circuit(1, ()),
+        Circuit(1, (GateOp("RY", 0, angle=0.3), GateOp("X", 0), GateOp("P", 0, angle=1.0))),
+        Circuit(3, (GateOp("CNOT", 2, 0), GateOp("CRY", 0, 1, -0.5), GateOp("CP", 1, 2, 0.25),
+                    GateOp("CNOT", 1, 0), GateOp("X", 2))),
+        Circuit(4, [GateOp("CRY", q, (q + 1) % 4, 0.1 * q) for q in range(4)]),
+    ]
+    for circ in [qft_circuit(n) for n in range(1, 8)] + user:
+        assert cnot_count(circ) == circ.cnots == per_op_cnots(circ)
+        if circ.lower is not None:
+            assert circ.lower.cnots == circ.cnots
+    # the total shows in no repr and enters no equality
+    assert "cnots" not in repr(user[1])
+    assert user[2] == Circuit(3, user[2].ops)
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0])
+def test_builders_key_on_the_exact_bits_of_their_argument(first):
+    # 0.0 and -0.0 build different circuits, whichever is built first
+    sys_ = ModeSystem(n=2, d=2, gamma=0.3)
+    circuits._built.cache_clear()
+    for x in (first, -first):
+        wave = wave_evolution_circuit(sys_, x, 1)
+        assert {op.angle.hex() for op in wave.ops if op.angle is not None} == {(-x).hex()}
+        assert damping_phase_gate(x, sys_).ops[0].angle.hex() == (-x).hex()
+        assert damping_real_circuit(x, sys_).ops[0].angle.hex() == (0.0).hex()
+        # a repeat returns the one circuit, whatever gamma, c and L are
+        other = ModeSystem(n=2, d=2, c=2.0, L=3.0, gamma=0.9)
+        assert wave_evolution_circuit(other, x, 1) is wave
+        assert wave_evolution_circuit(sys_, x, 0) != wave
+        assert wave_evolution_circuit(ModeSystem(n=2, d=3), x, 1) != wave
+    assert wave_evolution_circuit(sys_, first, 1) is not wave_evolution_circuit(sys_, -first, 1)
+
+
+def test_builder_rejections_are_never_cached():
+    sys_ = ModeSystem(n=2, d=2)
+    wave_evolution_circuit(ModeSystem(n=2, d=3), 0.1, 2)  # valid one dimension up
+    nan, inf = math.nan, math.inf
+    bad = [
+        (lambda: wave_evolution_circuit(sys_, nan), "tau must be finite"),
+        (lambda: wave_evolution_circuit(sys_, -inf, 1), "tau must be finite"),
+        (lambda: wave_evolution_circuit(sys_, 0.1, 2), "dimension 2 out of range for d=2"),
+        (lambda: wave_evolution_circuit(sys_, 0.1, -1), "dimension -1 out of range for d=2"),
+        (lambda: damping_real_circuit(-0.1, sys_),
+         "dissipative stage needs a nonnegative finite argument"),
+        (lambda: damping_real_circuit(nan, sys_),
+         "dissipative stage needs a nonnegative finite argument"),
+        (lambda: damping_phase_gate(nan, sys_), "phase stage needs a finite argument"),
+    ]
+    for build, message in bad:
+        for _ in range(2):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == message
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_wave_circuit_block_structure(n):
     sys_n = ModeSystem(n=n)
@@ -257,6 +321,7 @@ def test_gates_are_shared_by_family_and_exact_angle():
 
 
 def test_gate_matrices_built_once_on_first_application():
+    circuits._built.cache_clear()  # a run elsewhere may have used this circuit
     circ = wave_evolution_circuit(ModeSystem(n=2, gamma=0.3), 0.4)
     assert "gates" not in vars(circ)
     state = StateVector.basis(circ.n_qubits, index=3)

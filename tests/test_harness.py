@@ -171,6 +171,20 @@ def test_gate_report_known_budgets(name, n, d, cnots, qubits):
     assert rep.consistent
 
 
+def test_budget_grid_matches_the_formula_cold_and_warm():
+    # the benchmark's budget grid; each plan first with no circuit built,
+    # then again with every one of its circuits shared from the first
+    for scheme in map(get_scheme, ("lie", "strang", "castella4", "bernier6")):
+        for n in range(1, 21):
+            for d in (1, 2, 3):
+                circuits._built.cache_clear()
+                cold = gate_report(scheme, n, d)
+                misses = circuits._built.cache_info().misses
+                warm = gate_report(scheme, n, d)
+                assert circuits._built.cache_info().misses == misses
+                assert cold.per_step_cnots == warm.per_step_cnots == cold.formula_cnots
+
+
 def test_emit_csv_round_trip(tmp_path):
     sys4 = ModeSystem(n=4, gamma=0.5)
     report = run_case(get_scheme("lie"), sys4, 0.3, 4)

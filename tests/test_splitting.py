@@ -141,12 +141,26 @@ def test_one_builder_call_per_circuit_stage(monkeypatch, scheme, d):
     # the benchmark derives its expected construct counts from stage_counts()
     calls = Counter()
     spy_builders(monkeypatch, calls)
-    plan = build_step(scheme, ModeSystem(n=3, d=d), 1.0)
-    counts = plan.stage_counts()
-    assert {k: calls[k] for k in BUILDERS} == {k: counts[k] for k in BUILDERS}
-    # and every circuit stage holds its own circuit, repeated coefficients too
-    circuits_ = [st.circuit for st in plan.stages if st.circuit is not None]
-    assert len({id(c) for c in circuits_}) == len(circuits_) == sum(calls.values())
+    for gamma in (0.0, 0.5):
+        calls.clear()
+        plan = build_step(scheme, ModeSystem(n=3, d=d, gamma=gamma), 1.0)
+        counts = plan.stage_counts()
+        assert {k: calls[k] for k in BUILDERS} == {k: counts[k] for k in BUILDERS}
+        # stages with equal kind, exact param and dimension share one circuit;
+        # at gamma 0 the phase params are 0.0 and -0.0, which stay apart
+        keys, circuits_, waves = [], [], 0
+        for st in plan.stages:
+            if st.circuit is None:
+                continue
+            dim = None
+            if st.kind == "wave":  # wave stages come in dimension order
+                dim, waves = waves % d, waves + 1
+            keys.append((st.kind, float(st.param).hex(), dim))
+            circuits_.append(st.circuit)
+        for key, circ in zip(keys, circuits_):
+            for other_key, other in zip(keys, circuits_):
+                assert (circ is other) == (key == other_key)
+        assert len(set(keys)) < len(keys) or scheme.name == "lie"
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5])
@@ -472,6 +486,9 @@ def test_plans_build_no_gates_until_run(monkeypatch):
 
     for family in ("ry", "p", "x"):
         monkeypatch.setattr(Gate2x2, family, refuse)
+    # the builders share circuits across the process, and a run elsewhere
+    # may have looked up a shared circuit's gates
+    circuits._built.cache_clear()
     for scheme in builtin_schemes():
         for d in (1, 2, 3):
             plan = build_step(scheme, ModeSystem(n=3, d=d, gamma=0.5), 0.1)

@@ -67,6 +67,24 @@ def test_from_amplitudes_scales_norms_that_overflow_or_underflow():
         assert StateVector.from_amplitudes(plain).amp.tobytes() == want
 
 
+def test_basis_and_from_amplitudes_start_on_a_64_byte_boundary():
+    # as encode_initial's state and the kernel's scratch, at every size and
+    # on the scaled path; the values are those of a plain allocation
+    for n in (1, 2, 5, 9, 12, 14):
+        for _ in range(3):
+            basis = StateVector.basis(n, index=2**n - 1)
+            want = np.zeros(2**n, dtype=complex)
+            want[-1] = 1.0
+            assert basis.amp.ctypes.data % 64 == 0
+            assert basis.amp.tobytes() == want.tobytes()
+            amp = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+            for raw in (amp, amp * 1e300):
+                s = StateVector.from_amplitudes(raw)
+                assert s.amp.ctypes.data % 64 == 0 and s.amp.flags.c_contiguous
+            assert StateVector.from_amplitudes(amp).amp.tobytes() == (
+                amp / np.linalg.norm(amp)).tobytes()
+
+
 def test_little_endian_bit_order():
     # X on qubit 0 maps index 0 to index 1, not to index 2
     s = StateVector.basis(2)
