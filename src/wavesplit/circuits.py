@@ -299,7 +299,9 @@ def circuit_to_matrix(circuit: Circuit) -> np.ndarray:
 
     The identity, flattened row-major, is a state of 2n qubits whose top
     n qubits index the row; running the circuit on those qubits turns
-    every column e_c into U e_c.
+    every column e_c into U e_c.  Peak memory is that 16 * 4**n-byte
+    state plus the kernel's scratch, which an uncontrolled RY below the
+    top qubit makes twice the state: about 768 MB at the 12-qubit cap.
     """
     n = circuit.n_qubits
     if n > _MATRIX_QUBIT_CAP:

@@ -14,7 +14,8 @@ has the closed form implemented by ``mode_propagator``.
 ``exact_solution`` evaluates it once per distinct wrapped frequency
 (``ModeSystem.frequency_grid``) and gathers the entries over the modes,
 bit for bit.  ``spectral_pairs`` rejects a nan or inf field before any
-transform, and does not transform a zero velocity field.
+transform, and does not transform a zero velocity field.  The
+propagators and ``dense_expm`` reject a nan or inf argument the same way.
 """
 
 from __future__ import annotations
@@ -111,6 +112,8 @@ def mode_propagator(omega: float, gamma: float, t: float) -> np.ndarray:
     gamma**2/4| falls below 1e-12 * gamma**2.  gamma == 0 gives a pure
     rotation, omega == 0 gives diag(1, exp(-gamma t)).
     """
+    if not (math.isfinite(omega) and math.isfinite(gamma) and math.isfinite(t)):
+        raise ValueError("omega, gamma and t must be finite")
     if omega < 0 or gamma < 0:
         raise ValueError("omega and gamma must be nonnegative")
     m00, m01, m10, m11 = _propagator_entries(np.array([omega]), gamma, t)
@@ -124,6 +127,8 @@ def dense_expm(m, t: float = 1.0) -> np.ndarray:
         raise ValueError("need a square matrix")
     if a.shape[0] > _EXPM_DIM_CAP:
         raise ValueError(f"dense exponential capped at dimension {_EXPM_DIM_CAP}")
+    if not (math.isfinite(t) and np.isfinite(a).all()):
+        raise ValueError("matrix and t must be finite")
     a = a * t
     nrm = float(np.linalg.norm(a, 1))
     squarings = 0 if nrm <= 0.25 else int(math.ceil(math.log2(nrm / 0.25)))
@@ -228,6 +233,8 @@ def exact_solution(sys: ModeSystem, pairs: ModePairs, t: float):
     Returns (unnormalized, unit) concatenated (u, v) vectors of length
     2 * n_modes, matching the encoded layout without the ancilla.
     """
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     grid, index = sys.frequency_grid()
     if index.size != pairs.n_modes:
         raise ValueError(f"system has {index.size} modes, pairs carry {pairs.n_modes}")

@@ -25,10 +25,14 @@ circuit does so once.
 the ancilla-|1> half exactly zero, and the ancilla is the top qubit, so
 until a circuit acts on the ancilla, each circuit runs its ``lower`` copy
 on the ancilla-|0> half alone; that holds across step boundaries too.
+It runs every gate and postselection on two states of its own over the
+caller's amplitudes, the whole state and that half, so their views and
+scratch die with the run and the caller's state keeps its own cache.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -38,7 +42,7 @@ from .circuits import (Circuit, ModeSystem, apply_circuit, damping_phase_gate,
                        damping_real_circuit, wave_evolution_circuit)
 from .reference import dense_expm
 from .schemes import SplittingScheme
-from .statevector import StateVector, _halves, _outcome_prob, _shared_work, postselect
+from .statevector import StateVector, postselect
 
 _IM_OMIT_TOL = 1e-15
 _HERM_TOL = 1e-12
@@ -153,26 +157,26 @@ def simulate(plan: SplitStepPlan, T: int, state: StateVector) -> RunReport:
     if state.n_qubits != plan.n_qubits:
         raise ValueError("initial state size does not match the plan")
     anc, n = plan.sys.ancilla, plan.n_qubits
-    # the ancilla-|0> half, the lower half since the ancilla is the top
-    # qubit; it and the state share one scratch, released on the way out
+    top = state.amp[2 ** (n - 1):]  # the ancilla-|1> half: the ancilla is the top qubit
+    if np.vdot(top, top).real > 1e-12:
+        raise ValueError("ancilla must start in |0>")
+    # the run's own states: the whole state and its ancilla-|0> half
+    full = StateVector(n, state.amp)
     low = StateVector(n - 1, state.amp[: 2 ** (n - 1)])
-    with _shared_work((state, low), 2**n):
-        if _outcome_prob(_halves(state, anc, 1)) > 1e-12:
-            raise ValueError("ancilla must start in |0>")
-        t0 = time.perf_counter()
-        success, clear = 1.0, False  # clear: the ancilla-|1> half is exactly zero
-        for _ in range(T):
-            for st in plan.stages:
-                circuit = st.circuit
-                if circuit is None:
-                    success *= postselect(state, anc, 0)
-                    clear = True
-                elif clear and circuit.lower is not None:
-                    apply_circuit(low, circuit.lower)
-                else:
-                    apply_circuit(state, circuit)
-                    clear = False
-        wall = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    success, clear = 1.0, False  # clear: the ancilla-|1> half is exactly zero
+    for _ in range(T):
+        for st in plan.stages:
+            circuit = st.circuit
+            if circuit is None:
+                success *= postselect(full, anc, 0)
+                clear = True
+            elif clear and circuit.lower is not None:
+                apply_circuit(low, circuit.lower)
+            else:
+                apply_circuit(full, circuit)
+                clear = False
+    wall = time.perf_counter() - t0
     per_step = plan.cnot_per_step
     return RunReport(
         scheme=plan.scheme.name,
@@ -208,6 +212,8 @@ def generic_split_matrix(scheme: SplittingScheme, h1, h2, t: float, T: int) -> n
         raise ValueError("H1 and H2 must be square matrices of one shape")
     if a1.shape[0] > 64:
         raise ValueError("dense splitting capped at dimension 64")
+    if not (math.isfinite(t) and np.isfinite(a1).all() and np.isfinite(a2).all()):
+        raise ValueError("H1, H2 and t must be finite")
     _check_hermitian(a1, "H1")
     _check_hermitian(a2, "H2")
     if T < 1:

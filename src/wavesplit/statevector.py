@@ -18,13 +18,14 @@ is one block (the gate acts on the top qubit or the top two): then they
 update the pair in place.  Views are per state: the first gate on a
 wiring checks its qubits and caches the views on the state, so later
 gates on it do only the arithmetic.  A state's scratch views are all
-carved from one buffer, which starts on a 64-byte boundary.
+carved from one buffer, which starts on a 64-byte boundary.  A state's
+fields are fixed at construction, so its cache is built on first use,
+grows with the largest need seen, and lives as long as the state.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -82,36 +83,34 @@ class _Views(dict):
 
     __slots__ = ("work",)
 
-    def __init__(self, work=None):
+    def __init__(self):
         super().__init__()
-        self.work = work
+        self.work = None
 
     def __reduce__(self):
         return _Views, ()
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """``amp`` is the 1-d C-contiguous complex array of 2**n_qubits
     amplitudes that gates update in place.  Any other array is rejected:
     a reshape of it could be a copy, and a gate would update that copy.
+    Neither field can be reassigned; the values in ``amp`` can.
 
     ``_views`` caches the state's pair views and scratch by wiring; it is
-    not a field, and assigning ``amp`` or ``n_qubits`` starts it afresh.
-    States compare by identity."""
+    not a field.  States compare by identity."""
 
     n_qubits: int
     amp: np.ndarray = field(repr=False)
 
-    def __setattr__(self, name, value):
-        if name == "amp" and not (
-                isinstance(value, np.ndarray) and value.dtype == complex and value.ndim == 1
-                and value.size == 2**self.n_qubits and value.flags.c_contiguous):
+    def __post_init__(self):
+        a = self.amp
+        if not (isinstance(a, np.ndarray) and a.dtype == complex and a.ndim == 1
+                and a.size == 2**self.n_qubits and a.flags.c_contiguous):
             raise ValueError(f"amp must be a 1-d C-contiguous complex array of "
                              f"2**{self.n_qubits} amplitudes")
-        object.__setattr__(self, name, value)
-        if name != "_views":
-            object.__setattr__(self, "_views", _Views())
+        object.__setattr__(self, "_views", _Views())
 
     @classmethod
     def basis(cls, n_qubits: int, index: int = 0) -> "StateVector":
@@ -155,21 +154,6 @@ def _work(size: int) -> np.ndarray:
     start their states there too."""
     buf = np.empty(size + 3, dtype=complex)
     return buf[-buf.ctypes.data % 64 // 16:][:size]
-
-
-@contextmanager
-def _shared_work(states, size: int):
-    """Carve the scratch of every state in ``states`` from one new buffer
-    of ``size`` amplitudes, and drop their caches on exit.  A state that
-    needs more scratch meanwhile grows its own."""
-    work = _work(size)
-    for state in states:
-        state._views = _Views(work)
-    try:
-        yield
-    finally:
-        for state in states:
-            state._views = _Views()
 
 
 def _carve(state: StateVector, key: tuple, target: int, control: int | None,
@@ -302,12 +286,6 @@ def _halves(state: StateVector, qubit: int, bit: int) -> tuple:
     return views
 
 
-def _outcome_prob(halves: tuple) -> float:
-    """Squared norm of the kept half of ``_halves``."""
-    _, _, re, im = halves
-    return float(np.einsum("ij,ij->", re, re) + np.einsum("ij,ij->", im, im))
-
-
 def postselect(state: StateVector, qubit: int, outcome: int) -> float:
     """Project ``state`` onto ``qubit == outcome`` in place and renormalize.
 
@@ -315,15 +293,14 @@ def postselect(state: StateVector, qubit: int, outcome: int) -> float:
     sqrt(p) times the new state.  Nothing is written when the outcome
     is degenerate.
     """
-    halves = _halves(state, qubit, outcome)
-    p = _outcome_prob(halves)
+    kept, dropped, re, im = _halves(state, qubit, outcome)
+    p = float(np.einsum("ij,ij->", re, re) + np.einsum("ij,ij->", im, im))
     if not p >= 1e-300:  # a NaN probability is degenerate too
         raise DegeneratePostselectionError(
             f"outcome {outcome} on qubit {qubit} has probability {p:.3e}")
     p = min(p, 1.0)
     # numpy divides a complex by c + 0j as a product with 1.0 / c, so this
     # real product gives the same values (a signed zero may flip)
-    kept, dropped, _, _ = halves
     kept *= 1.0 / math.sqrt(p)
     dropped[...] = 0
     return p

@@ -19,6 +19,8 @@ from wavesplit.reference import (
     mode_propagator,
     spectral_pairs,
 )
+from wavesplit.schemes import get_scheme
+from wavesplit.splitting import generic_split_matrix
 
 rng = np.random.default_rng(23)
 
@@ -358,3 +360,31 @@ def test_exact_solution_size_mismatch_message():
     pairs = ModePairs(np.ones(8, dtype=complex), np.zeros(8, dtype=complex))
     with pytest.raises(ValueError, match=r"^system has 16 modes, pairs carry 8$"):
         exact_solution(ModeSystem(n=2, d=2), pairs, 0.3)
+
+
+# ---------------------------------------------------------- non-finite input
+
+_PAIRS = ModePairs(np.ones(8, dtype=complex), np.zeros(8, dtype=complex))
+_X = [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda x: mode_propagator(x, 0.2, 1.0), "omega, gamma and t", id="omega"),
+    pytest.param(lambda x: mode_propagator(1.0, x, 1.0), "omega, gamma and t", id="gamma"),
+    pytest.param(lambda x: mode_propagator(1.0, 0.2, x), "omega, gamma and t", id="t"),
+    pytest.param(lambda x: exact_solution(ModeSystem(n=3, gamma=0.4), _PAIRS, x), "t",
+                 id="exact-t"),
+    pytest.param(lambda x: dense_expm([[x, 0], [0, 1]]), "matrix and t", id="expm-m"),
+    pytest.param(lambda x: dense_expm(_X, x), "matrix and t", id="expm-t"),
+    pytest.param(lambda x: generic_split_matrix(get_scheme("strang"), [[x, 0], [0, 1]], _X,
+                                                1.0, 2), "H1, H2 and t", id="split-h1"),
+    pytest.param(lambda x: generic_split_matrix(get_scheme("strang"), _X, [[1, x], [x, 1]],
+                                                1.0, 2), "H1, H2 and t", id="split-h2"),
+    pytest.param(lambda x: generic_split_matrix(get_scheme("strang"), _X, _X, x, 2),
+                 "H1, H2 and t", id="split-t"),
+])
+def test_reference_rejects_non_finite_input(call, message, bad):
+    # a clean ValueError, before numpy computes anything that could warn
+    with pytest.raises(ValueError, match=f"^{message} must be finite$"):
+        call(bad)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from wavesplit.splitting import (
 from wavesplit.statevector import (DegeneratePostselectionError, Gate2x2, StateVector,
                                    apply_1q, apply_controlled, postselect)
 
-from helpers import random_hermitian, random_neg_semidefinite, split_evolve_pairs
+from helpers import gateop_matrix, random_hermitian, random_neg_semidefinite, split_evolve_pairs
 
 rng = np.random.default_rng(31)
 
@@ -433,31 +434,71 @@ def test_ancilla_controlled_circuit_runs_full_width():
     assert_matches_full_width(plan, 2, encode_initial(phi, dphi))
 
 
-def test_simulate_shares_one_scratch_and_releases_it(monkeypatch):
-    works = set()
+def test_simulate_runs_on_aligned_states_of_its_own(monkeypatch):
+    seen = []
     inner = splitting.apply_circuit
 
     def spy(state, circuit):
         inner(state, circuit)
-        works.add((state.n_qubits, id(state._views.work), state._views.work.ctypes.data % 64))
+        seen.append((state, state._views.work.ctypes.data % 64))
     monkeypatch.setattr(splitting, "apply_circuit", spy)
     phi, dphi = random_fields(8)
     plan = build_step(get_scheme("strang"), ModeSystem(n=3, gamma=0.6), 0.1)
-    report = simulate(plan, 2, encode_initial(phi, dphi))
-    # full-width and half-state circuits ran, on one buffer of 2**n amplitudes
+    initial = encode_initial(phi, dphi)
+    simulate(plan, 2, initial)
+    # full-width and half-state circuits ran on two states over the
+    # caller's amplitudes, each with its own scratch of 2**(n-1) amplitudes,
+    # which starts on a 64-byte boundary
     nq = plan.n_qubits
-    assert {w[0] for w in works} == {nq, nq - 1} and len({w[1] for w in works}) == 1
-    assert {w[2] for w in works} == {0}  # it starts on a 64-byte boundary
-    assert not report.state._views and report.state._views.work is None
+    states = {id(state): state for state, _ in seen}.values()
+    assert sorted(state.n_qubits for state in states) == [nq - 1, nq]
+    assert all(state is not initial and np.shares_memory(state.amp, initial.amp)
+               for state in states)
+    assert [state._views.work.size for state in states] == [2 ** (nq - 1)] * 2
+    assert {offset for _, offset in seen} == {0}
+    assert not initial._views and initial._views.work is None
 
+
+def test_simulate_leaves_the_callers_views_as_they_were():
+    phi, dphi = random_fields(8)
+    plan = build_step(get_scheme("strang"), ModeSystem(n=3, gamma=0.6), 0.1)
+    nq, anc = plan.n_qubits, plan.sys.ancilla
     # an ancilla flipped to |1> makes the next postselection degenerate
     flip = Stage("damp_real", 0.0, circuits.Circuit(nq, (
-        circuits.GateOp("X", plan.sys.ancilla),)))
+        circuits.GateOp("X", anc),)))
     bad, _, _ = hand_built(lambda w, d, _: (d, POSTSELECT, w, flip, POSTSELECT))
-    state = encode_initial(phi, dphi)
-    with pytest.raises(DegeneratePostselectionError):
-        simulate(bad, 1, state)
-    assert not state._views and state._views.work is None
+    op = circuits.GateOp("CRY", 2, 0, 0.4)
+    cry = circuits.Circuit(nq, (op,))
+    for run, outcome in ((plan, nullcontext()),
+                         (bad, pytest.raises(DegeneratePostselectionError))):
+        state = encode_initial(phi, dphi)
+        circuits.apply_circuit(state, cry)  # caches views carved from scratch
+        postselect(state, anc, 0)  # caches the ancilla's halves
+        views, cached, work = state._views, dict(state._views), state._views.work
+        with outcome:
+            simulate(run, 1, state)
+        assert state._views is views and views == cached and views.work is work
+        expected = gateop_matrix(op, nq) @ state.amp
+        circuits.apply_circuit(state, cry)
+        assert np.max(np.abs(state.amp - expected)) < 1e-14
+
+
+@pytest.mark.parametrize("p1", [1e-10, 1e-14])
+def test_ancilla_must_start_in_zero(p1):
+    phi, dphi = random_fields(8)
+    plan = build_step(get_scheme("strang"), ModeSystem(n=3, gamma=0.6), 0.1)
+    amp = encode_initial(phi, dphi).amp.copy()
+    half = amp.size // 2
+    amp[:half] *= np.sqrt(1 - p1)
+    amp[half] = np.sqrt(p1)  # the ancilla reads 1 with probability p1
+    state = StateVector(plan.n_qubits, amp)
+    if p1 > 1e-12:
+        before = amp.copy()
+        with pytest.raises(ValueError, match="^ancilla must start in \\|0>$"):
+            simulate(plan, 1, state)
+        assert np.array_equal(amp, before)
+    else:
+        assert 0 < simulate(plan, 1, state).success_prob < 1
 
 
 # ------------------------------------------------- one gate per distinct angle
