@@ -114,9 +114,14 @@ class ConvergenceTable:
 
 
 def fit_order(dts, epsilons) -> float:
-    """Least-squares slope of log(eps) against log(dt)."""
+    """Least-squares slope of log(eps) against log(dt).  Every error must
+    be positive and finite: an exact point has no logarithm."""
     dts = np.asarray(dts, dtype=float)
     eps = np.asarray(epsilons, dtype=float)
+    for i, (dt, e) in enumerate(zip(dts, eps)):
+        if not 0 < e < math.inf:
+            raise ValueError(f"point {i} (dt = {dt:g}) has error {e:g}, "
+                             "which must be positive and finite")
     if dts.size < 2:
         return math.nan
     return float(np.polyfit(np.log(dts), np.log(eps), 1)[0])

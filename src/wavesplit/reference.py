@@ -15,7 +15,8 @@ has the closed form implemented by ``mode_propagator``.
 (``ModeSystem.frequency_grid``) and gathers the entries over the modes,
 bit for bit.  ``spectral_pairs`` rejects a nan or inf field before any
 transform, and does not transform a zero velocity field.  The
-propagators and ``dense_expm`` reject a nan or inf argument the same way.
+propagators and ``dense_expm`` reject a nan or inf argument the same way,
+and ``dense_expm`` raises ValueError where finite input overflows.
 """
 
 from __future__ import annotations
@@ -129,19 +130,25 @@ def dense_expm(m, t: float = 1.0) -> np.ndarray:
         raise ValueError(f"dense exponential capped at dimension {_EXPM_DIM_CAP}")
     if not (math.isfinite(t) and np.isfinite(a).all()):
         raise ValueError("matrix and t must be finite")
-    a = a * t
-    nrm = float(np.linalg.norm(a, 1))
-    squarings = 0 if nrm <= 0.25 else int(math.ceil(math.log2(nrm / 0.25)))
-    a = a / (2.0**squarings)
-    out = np.eye(a.shape[0], dtype=complex) + a
-    term = a.copy()
-    for k in range(2, 40):
-        term = term @ a / k
-        out = out + term
-        if np.max(np.abs(term)) < 1e-20 * max(1.0, np.max(np.abs(out))):
-            break
-    for _ in range(squarings):
-        out = out @ out
+    # finite input can still overflow: in the product, in the power of two
+    # that scales it, or in the squarings
+    with np.errstate(over="raise"):
+        try:
+            a = a * t
+            nrm = float(np.linalg.norm(a, 1))
+            squarings = 0 if nrm <= 0.25 else int(math.ceil(math.log2(nrm / 0.25)))
+            a = a / (2.0**squarings)
+            out = np.eye(a.shape[0], dtype=complex) + a
+            term = a.copy()
+            for k in range(2, 40):
+                term = term @ a / k
+                out = out + term
+                if np.max(np.abs(term)) < 1e-20 * max(1.0, np.max(np.abs(out))):
+                    break
+            for _ in range(squarings):
+                out = out @ out
+        except (FloatingPointError, OverflowError):
+            raise ValueError("exp(M t) overflows") from None
     return out
 
 

@@ -123,7 +123,8 @@ def build_step(scheme: SplittingScheme, sys: ModeSystem, dt: float) -> SplitStep
     # the largest dissipative argument and wave angle the circuits will take
     if not np.isfinite(sys.gamma * max(abs(complex(ai)) for ai in a) * dt):
         raise ValueError(f"damping rate {sys.gamma:g} times step size {dt:g} overflows")
-    if not np.isfinite(sys.zeta * max(abs(bi) for bi in b) * dt * 2.0**sys.n):
+    # 2.0**n itself overflows from n = 1024 on
+    if sys.n >= 1024 or not np.isfinite(sys.zeta * max(abs(bi) for bi in b) * dt * 2.0**sys.n):
         raise ValueError(f"step size {dt:g} overflows the wave-stage angles")
     stages: list[Stage] = []
 

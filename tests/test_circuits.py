@@ -20,8 +20,8 @@ from wavesplit.circuits import (
     qft_circuit,
     wave_evolution_circuit,
 )
-from wavesplit.harness import (damping_contraction_error, damping_phase_error, qft_error,
-                               wave_block_error)
+from wavesplit.harness import (damping_contraction_error, damping_phase_error, gate_report,
+                               qft_error, wave_block_error)
 from wavesplit.statevector import StateVector
 
 from helpers import circuit_matrix, expected_views, views_by_buffer
@@ -33,8 +33,7 @@ rng = np.random.default_rng(11)
 
 
 def test_gateop_validation():
-    # each message twice: a wiring check that is cached must still reject
-    # the same bad op every time it is built
+    # each message twice: the same bad op is rejected every time it is built
     bad = [
         (GateOp("H", target=0), "unknown gate kind 'H'"),
         (GateOp("RZ", target=0, angle=0.1), "unknown gate kind 'RZ'"),
@@ -197,6 +196,83 @@ def test_builder_rejections_are_never_cached():
             with pytest.raises(ValueError) as err:
                 build()
             assert str(err.value) == message
+
+
+def built_by_rule(builder: str, sys_: ModeSystem, x: float, dim: int = 0) -> Circuit:
+    """The builders' construction rule, spelled out op by op and checked
+    by the public Circuit constructor."""
+    n, sel = sys_.n, sys_.selector
+    if builder == "wave":
+        data = range(dim * n, (dim + 1) * n)
+        flip = GateOp("CNOT", sel, data[-1])
+        ops = ((flip,) + tuple(GateOp("CRY", sel, q, -(2.0**r) * x) for r, q in enumerate(data))
+               + (flip, GateOp("CRY", sel, data[-1], -(2.0**n) * x)))
+    elif builder == "damp_real":
+        if x < 0:
+            raise ValueError("dissipative stage needs a nonnegative finite argument")
+        ops = (GateOp("CRY", sys_.ancilla, sel, 2.0 * math.acos(math.exp(-x))),)
+    else:
+        ops = (GateOp("P", sel, None, -x),)
+    return Circuit(sys_.n_qubits, ops)
+
+
+def outcome(build):
+    """Every field of a built circuit, angles by their exact bits, or the
+    message it was rejected with."""
+    try:
+        circ = build()
+    except ValueError as err:
+        return str(err)
+    return circ.n_qubits, circ.cnots, [
+        (type(op), op.kind, op.target, op.control,
+         None if op.angle is None else (type(op.angle), op.angle.hex())) for op in circ.ops]
+
+
+# 1e305 overflows the wave angles from data qubit 11 on
+@pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, 0.37, -1.9, 123.456, 1e300, 1e305])
+def test_builders_match_the_construction_rule_bit_for_bit(x):
+    public = {"wave": lambda s, dim: wave_evolution_circuit(s, x, dim),
+              "damp_real": lambda s, dim: damping_real_circuit(x, s),
+              "damp_phase": lambda s, dim: damping_phase_gate(x, s)}
+    for n in range(1, 21):
+        for d in (1, 2, 3):
+            sys_ = ModeSystem(n=n, d=d)
+            for builder, dims in (("wave", range(d)), ("damp_real", [0]), ("damp_phase", [0])):
+                for dim in dims:
+                    got = outcome(lambda: public[builder](sys_, dim))
+                    assert got == outcome(lambda: built_by_rule(builder, sys_, x, dim))
+                    if isinstance(got, str):
+                        continue
+                    circ = public[builder](sys_, dim)
+                    assert circ.cnots == per_op_cnots(circ)
+                    if circ.lower is not None:
+                        assert circ.lower == Circuit(circ.n_qubits - 1, circ.ops)
+                        assert circ.lower.cnots == circ.cnots
+
+
+def test_a_rejected_miss_caches_nothing():
+    sys_ = ModeSystem(n=20, d=3)
+    wave_evolution_circuit(sys_, 0.5, 2)
+    cached = circuits._built.cache_info().currsize
+    for _ in range(2):
+        # 2**20 * 1e303 overflows: the same message as a hand-built circuit
+        with pytest.raises(ValueError, match="^CRY needs a finite angle$"):
+            wave_evolution_circuit(sys_, 1e303, 2)
+        assert circuits._built.cache_info().currsize == cached
+        with pytest.raises(ValueError, match="^tau must be finite$"):
+            wave_evolution_circuit(sys_, math.inf, 2)
+        assert circuits._built.cache_info().currsize == cached
+
+
+@pytest.mark.parametrize("n", [1024, 1100])
+def test_no_wave_circuit_past_n_1023(n):
+    # 2**n is no float: a ValueError, not an OverflowError, and no template
+    templates = circuits._template.cache_info().currsize
+    with pytest.raises(ValueError, match="^CRY needs a finite angle$"):
+        wave_evolution_circuit(ModeSystem(n), 0.1)
+    assert circuits._template.cache_info().currsize == templates
+    with pytest.raises(ValueError, match="^step size 1 overflows the wave-stage angles$"):
+        gate_report("lie", n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -119,6 +119,13 @@ def test_fit_order_recovers_exact_power_laws():
     assert np.isnan(fit_order([0.1], [1e-3]))
 
 
+@pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan, math.inf])
+def test_fit_order_names_a_point_without_a_logarithm(bad):
+    # an exact row, as a user fit window may pick, has no log error
+    with pytest.raises(ValueError, match=r"^point 1 \(dt = 0\.05\) has error "):
+        fit_order([0.1, 0.05, 0.025], [1e-3, bad, 1e-5])
+
+
 def test_convergence_sweep_validation():
     sys3 = ModeSystem(n=3, gamma=0.5)
     with pytest.raises(ValueError):
@@ -172,12 +179,13 @@ def test_gate_report_known_budgets(name, n, d, cnots, qubits):
 
 
 def test_budget_grid_matches_the_formula_cold_and_warm():
-    # the benchmark's budget grid; each plan first with no circuit built,
-    # then again with every one of its circuits shared from the first
+    # the benchmark's budget grid; each plan first with no circuit or
+    # template built, then again with every one of its circuits shared
     for scheme in map(get_scheme, ("lie", "strang", "castella4", "bernier6")):
         for n in range(1, 21):
             for d in (1, 2, 3):
                 circuits._built.cache_clear()
+                circuits._template.cache_clear()
                 cold = gate_report(scheme, n, d)
                 misses = circuits._built.cache_info().misses
                 warm = gate_report(scheme, n, d)

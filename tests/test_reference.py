@@ -136,6 +136,22 @@ def test_dense_expm_nilpotent():
     assert np.array_equal(dense_expm(m), np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: dense_expm([[1e200, 0], [0, 1]], 1e200), id="product"),
+    pytest.param(lambda: dense_expm([[1e300, 0], [0, 1]]), id="squarings-1e300"),
+    pytest.param(lambda: dense_expm([[800, 0], [0, 1]]), id="squarings-800"),
+    pytest.param(lambda: dense_expm([[0, 1e308], [0, 0]]), id="scale"),
+    pytest.param(lambda: generic_split_matrix(get_scheme("strang"), 1e200 * np.eye(2),
+                                              np.eye(2), 1.0, 1), id="split"),
+])
+def test_dense_expm_names_an_overflow_of_finite_input(call):
+    # a clean ValueError, not a RuntimeWarning from numpy's multiply or
+    # matmul; exp(709) is still finite and keeps its value
+    with pytest.raises(ValueError, match=r"^exp\(M t\) overflows$"):
+        call()
+    assert dense_expm([[709, 0], [0, 1]])[0, 0].real == pytest.approx(math.exp(709), rel=1e-12)
+
+
 def test_dense_expm_dimension_cap():
     with pytest.raises(ValueError):
         dense_expm(np.eye(65))
