@@ -12,7 +12,6 @@ from wavesplit.circuits import (
     ModeSystem,
     circuit_dump,
     circuit_to_matrix,
-    cnot_count,
     wave_evolution_circuit,
 )
 
@@ -20,7 +19,7 @@ sys3 = ModeSystem(n=3)
 tau = 0.9  # dimensionless time zeta * t
 circ = wave_evolution_circuit(sys3, tau)
 
-print(f"n=3 wave circuit, tau={tau}, {cnot_count(circ)} CNOT equivalents:")
+print(f"n=3 wave circuit, tau={tau}, {circ.cnots} CNOT equivalents:")
 print(circuit_dump(circ))
 
 mat = circuit_to_matrix(circ)

@@ -11,9 +11,8 @@ from .schemes import (SplittingScheme, ValidationReport, builtin_schemes,
 from .statevector import (DegeneratePostselectionError, Gate2x2, StateVector,
                           apply_1q, apply_controlled, postselect)
 from .circuits import (Circuit, GateOp, ModeSystem, apply_circuit,
-                       circuit_dump, circuit_to_matrix, cnot_count,
-                       damping_phase_gate, damping_real_circuit, qft_circuit,
-                       wave_evolution_circuit)
+                       circuit_dump, circuit_to_matrix, damping_phase_gate,
+                       damping_real_circuit, qft_circuit, wave_evolution_circuit)
 from .reference import (ModePairs, decode_state, dense_expm, encode_initial,
                         exact_solution, hermitian_split, mode_propagator,
                         spectral_pairs)

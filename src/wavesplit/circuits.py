@@ -8,10 +8,10 @@ decomposition) and plain rotations worth zero.
 Every circuit uses one register layout (``ModeSystem``): the n*d data
 qubits first, dimension by dimension, then the selector qubit, then the
 damping ancilla on top.  The three stage builders below return one
-shared, frozen circuit per distinct argument.  A builder's wiring
-depends only on (n, d, dim) and each of its angles is a fixed multiple
-of the argument, so that wiring is checked once, as a template circuit
-at unit argument, and every new argument scales the template's angles.
+shared, frozen circuit per distinct argument.  They write their ops
+straight from the layout and check only that the angles are finite:
+the selector sits above every data qubit and the ancilla above the
+selector, so every target and control is in range and distinct.
 
 The wave evolution circuit realizes, on one dimension's data register
 plus the shared selector qubit, the block-diagonal rotation
@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -59,30 +60,10 @@ class GateOp(NamedTuple):
     angle: float | None = None
 
 
-def _check_wiring(n_qubits: int, kind: str, target: int,
-                  control: int | None) -> tuple[bool, int]:
-    """Raise on a wiring that does not fit ``n_qubits``, else tell whether
-    the kind takes an angle and what it costs in CNOTs.  Builders reach it
-    once per template, not once per circuit."""
-    if kind not in _KINDS:
-        raise ValueError(f"unknown gate kind {kind!r}")
-    family, cost = _KINDS[kind]
-    if not 0 <= target < n_qubits:
-        raise ValueError(f"target {target} out of range")
-    if cost:
-        if control is None or not 0 <= control < n_qubits:
-            raise ValueError(f"{kind} needs an in-range control qubit")
-        if control == target:
-            raise ValueError("control equals target")
-    elif control is not None:
-        raise ValueError(f"{kind} takes no control qubit")
-    return family != "x", cost
-
-
 @dataclass(frozen=True)
 class Circuit:
-    """Ops applied in order to ``n_qubits`` qubits.  ``cnots``, the total
-    CNOT cost, is summed once while the ops are checked."""
+    """Ops applied in order to ``n_qubits`` qubits.  One pass checks each
+    op's kind, qubits and angle and sums ``cnots``, the total CNOT cost."""
 
     n_qubits: int
     ops: tuple[GateOp, ...]
@@ -92,8 +73,23 @@ class Circuit:
         object.__setattr__(self, "ops", tuple(self.ops))
         n, cnots = self.n_qubits, 0
         for kind, target, control, angle in self.ops:
-            takes_angle, cost = _check_wiring(n, kind, target, control)
-            if takes_angle and (angle is None or not math.isfinite(angle)):
+            if kind not in _KINDS:
+                raise ValueError(f"unknown gate kind {kind!r}")
+            family, cost = _KINDS[kind]
+            if not isinstance(target, Integral):
+                raise ValueError(f"target {target!r} is not an integer")
+            if not 0 <= target < n:
+                raise ValueError(f"target {target} out of range")
+            if control is not None and not isinstance(control, Integral):
+                raise ValueError(f"control {control!r} is not an integer")
+            if cost:
+                if control is None or not 0 <= control < n:
+                    raise ValueError(f"{kind} needs an in-range control qubit")
+                if control == target:
+                    raise ValueError("control equals target")
+            elif control is not None:
+                raise ValueError(f"{kind} takes no control qubit")
+            if family != "x" and (angle is None or not math.isfinite(angle)):
                 raise ValueError(f"{kind} needs a finite angle")
             cnots += cost
         object.__setattr__(self, "cnots", cnots)
@@ -141,6 +137,8 @@ class ModeSystem:
     gamma: float = 0.0
 
     def __post_init__(self):
+        if not (isinstance(self.n, Integral) and isinstance(self.d, Integral)):
+            raise ValueError("n and d must be integers")
         if self.n < 1:
             raise ValueError("need at least one data qubit per dimension")
         if not 1 <= self.d <= 3:
@@ -267,50 +265,35 @@ def _built(builder: str, n: int, d: int, arg_bits: str, dim: int = 0) -> Circuit
     and the ints the ops depend on; gamma, c and L do not enter them.  The
     bound holds the 48 distinct circuits of a bernier6 d=3 plan.
 
-    A miss scales the angles of the builder's checked ``_template`` and
-    skips the per-op checks, save that its angles are finite.  Each op is
-    made straight from its template row, with no tuple of angles between:
-    one such tuple per miss, built from a generator, raised the peak RSS
-    of a pass over 240 gate budgets from 31.9 to 36.6 MB."""
+    A miss writes the ops straight from the rule: the ladder CRY on data
+    qubit r takes -2**r * x and the closing one -2**n * x (past n = 1023
+    that multiplier is -inf and the finite check rejects it), the damping
+    CRY 2*arccos(exp(-x)) and the phase -x.  The ops go into a list, with
+    no tuple of angles between: one such tuple per miss, built from a
+    generator, raised the peak RSS of a pass over 240 gate budgets from
+    31.9 to 36.6 MB."""
     x = float.fromhex(arg_bits)
-    if builder == "damp_real":
-        x = 2.0 * math.acos(math.exp(-x))
-    unit = _template(builder, n, d, dim)
-    new = tuple.__new__
-    ops = tuple([new(GateOp, (kind, target, control, None if m is None else m * x))
-                 for kind, target, control, m in unit.ops])
+    sel, new = n * d, tuple.__new__
+    if builder == "wave":
+        top, m = (dim + 1) * n - 1, -1.0
+        flip = new(GateOp, ("CNOT", sel, top, None))
+        ops = [flip]
+        for q in range(dim * n, top + 1):
+            ops.append(new(GateOp, ("CRY", sel, q, m * x)))
+            m *= 2.0
+        ops += flip, new(GateOp, ("CRY", sel, top, m * x))
+        cnots = (n + 1) * _KINDS["CRY"][1] + 2 * _KINDS["CNOT"][1]
+    elif builder == "damp_real":
+        ops = [new(GateOp, ("CRY", sel + 1, sel, 2.0 * math.acos(math.exp(-x))))]
+        cnots = _KINDS["CRY"][1]
+    else:
+        ops = [new(GateOp, ("P", sel, None, -x))]
+        cnots = _KINDS["P"][1]
     # rounding is monotone and the last op holds the largest multiplier,
     # so every angle is finite when the last one is
     if not math.isfinite(ops[-1].angle):
         raise ValueError(f"{ops[-1].kind} needs a finite angle")
-    return Circuit._trusted(unit.n_qubits, ops, unit.cnots)
-
-
-# Twelve templates per n (wave on each of 1 + 2 + 3 dims, damp_real and
-# damp_phase at d = 1, 2, 3), so the bound holds every n the CLI takes.
-@lru_cache(maxsize=240)
-def _template(builder: str, n: int, d: int, dim: int) -> Circuit:
-    """A builder's circuit at unit argument, checked as an ordinary
-    Circuit.  Each angle is the multiplier of the argument: -2**r for the
-    ladder CRY on data qubit r and -2**n for the closing one, 1.0 for the
-    damping CRY (applied to 2*arccos(exp(-x))) and -1.0 for the phase.
-    Past n = 1023, 2**n is not a float: doubling reaches -inf and the
-    check rejects the template."""
-    sys = ModeSystem(n, d)
-    sel = sys.selector
-    if builder == "wave":
-        data = range(dim * n, (dim + 1) * n)
-        top, m, ladder = data[-1], -1.0, []
-        for q in data:
-            ladder.append(GateOp("CRY", sel, q, m))
-            m *= 2.0
-        flip = GateOp("CNOT", sel, top)
-        ops = (flip, *ladder, flip, GateOp("CRY", sel, top, m))
-    elif builder == "damp_real":
-        ops = (GateOp("CRY", sys.ancilla, sel, 1.0),)
-    else:
-        ops = (GateOp("P", sel, None, -1.0),)
-    return Circuit(sys.n_qubits, ops)
+    return Circuit._trusted(sel + 2, tuple(ops), cnots)
 
 
 @lru_cache(maxsize=1024)
@@ -353,10 +336,6 @@ def circuit_to_matrix(circuit: Circuit) -> np.ndarray:
     u = StateVector(2 * n, np.eye(2**n, dtype=complex).reshape(-1))
     apply_circuit(u, lifted)
     return u.amp.reshape(2**n, 2**n)
-
-
-def cnot_count(circuit: Circuit) -> int:
-    return circuit.cnots
 
 
 def circuit_dump(circuit: Circuit) -> str:

@@ -16,7 +16,8 @@ has the closed form implemented by ``mode_propagator``.
 bit for bit.  ``spectral_pairs`` rejects a nan or inf field before any
 transform, and does not transform a zero velocity field.  The
 propagators and ``dense_expm`` reject a nan or inf argument the same way,
-and ``dense_expm`` raises ValueError where finite input overflows.
+and ``dense_expm`` raises ValueError where finite input overflows or
+needs more squarings than keep its result accurate.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from .circuits import ModeSystem
 from .statevector import StateVector, _work
 
 _EXPM_DIM_CAP = 64
+# each squaring can double the relative rounding error of the Taylor core,
+# so 20 squarings amplify it up to 2**20 * eps ~ 2e-10; |M t|_1 <= 2**18 passes
+_EXPM_MAX_SQUARINGS = 20
 _CRITICAL_REL_TOL = 1e-12
 _EXP_NORMAL = -math.log(np.finfo(float).tiny)  # 708.4: exp(-x) is normal below it
 
@@ -122,7 +126,9 @@ def mode_propagator(omega: float, gamma: float, t: float) -> np.ndarray:
 
 
 def dense_expm(m, t: float = 1.0) -> np.ndarray:
-    """exp(M t) by scaling and squaring with a truncated Taylor core."""
+    """exp(M t) by scaling and squaring with a truncated Taylor core.
+    Raises ValueError past 20 squarings (|M t|_1 > 2**18), where rounding
+    would swamp the result, and where finite input overflows."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("need a square matrix")
@@ -137,6 +143,9 @@ def dense_expm(m, t: float = 1.0) -> np.ndarray:
             a = a * t
             nrm = float(np.linalg.norm(a, 1))
             squarings = 0 if nrm <= 0.25 else int(math.ceil(math.log2(nrm / 0.25)))
+            if squarings > _EXPM_MAX_SQUARINGS:
+                raise ValueError(f"exp(M t) needs {squarings} squarings, past the "
+                                 f"{_EXPM_MAX_SQUARINGS} that keep it accurate")
             a = a / (2.0**squarings)
             out = np.eye(a.shape[0], dtype=complex) + a
             term = a.copy()

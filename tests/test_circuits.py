@@ -14,7 +14,6 @@ from wavesplit.circuits import (
     apply_circuit,
     circuit_dump,
     circuit_to_matrix,
-    cnot_count,
     damping_phase_gate,
     damping_real_circuit,
     qft_circuit,
@@ -45,12 +44,18 @@ def test_gateop_validation():
         (GateOp("RY", target=0, angle=float("nan")), "RY needs a finite angle"),
         (GateOp("CP", target=0, control=1), "CP needs a finite angle"),
         (GateOp("CNOT", target=0, control=0), "control equals target"),
+        (GateOp("X", target=1.0), "target 1.0 is not an integer"),
+        (GateOp("RY", target=0.5, angle=0.1), "target 0.5 is not an integer"),
+        (GateOp("CNOT", target=0, control=1.0), "control 1.0 is not an integer"),
+        (GateOp("X", target=0, control=1.5), "control 1.5 is not an integer"),
     ]
     for op, message in bad:
         for _ in range(2):
             with pytest.raises(ValueError) as err:
                 Circuit(2, (GateOp("X", target=1), op))
             assert str(err.value) == message
+    # numpy integers are integers
+    assert Circuit(2, (GateOp("CNOT", np.int64(0), np.int64(1)),)).cnots == 1
 
 
 def test_wiring_valid_at_n_still_raises_at_n_minus_1():
@@ -65,6 +70,13 @@ def test_wiring_valid_at_n_still_raises_at_n_minus_1():
     for angle in (float("inf"), None):
         with pytest.raises(ValueError, match="RY needs a finite angle"):
             Circuit(2, (GateOp("RY", 0, None, angle),))
+
+
+@pytest.mark.parametrize("kwargs", [dict(n=2.5), dict(n=2.0), dict(n=2, d=2.0), dict(n="3")])
+def test_mode_system_rejects_non_integer_sizes(kwargs):
+    with pytest.raises(ValueError, match="^n and d must be integers$"):
+        ModeSystem(**kwargs)
+    assert ModeSystem(n=np.int64(2), d=np.int64(2)).n_qubits == 6
 
 
 def test_gateop_is_an_immutable_tuple_record():
@@ -133,7 +145,7 @@ def test_qft_matches_dft(n):
 @pytest.mark.parametrize("n,count", [(1, 0), (2, 5), (3, 9), (4, 18), (5, 26), (6, 39)])
 def test_qft_cnot_budget(n, count):
     # n(n-1) direct from the controlled-phase ladder, 3 per closing swap
-    assert cnot_count(qft_circuit(n)) == count
+    assert qft_circuit(n).cnots == count
     assert count == n * (n - 1) + 3 * (n // 2)
 
 
@@ -150,7 +162,7 @@ def test_cnot_count_is_the_per_op_sum():
         Circuit(4, [GateOp("CRY", q, (q + 1) % 4, 0.1 * q) for q in range(4)]),
     ]
     for circ in [qft_circuit(n) for n in range(1, 8)] + user:
-        assert cnot_count(circ) == circ.cnots == per_op_cnots(circ)
+        assert circ.cnots == per_op_cnots(circ)
         if circ.lower is not None:
             assert circ.lower.cnots == circ.cnots
     # the total shows in no repr and enters no equality
@@ -266,11 +278,14 @@ def test_a_rejected_miss_caches_nothing():
 
 @pytest.mark.parametrize("n", [1024, 1100])
 def test_no_wave_circuit_past_n_1023(n):
-    # 2**n is no float: a ValueError, not an OverflowError, and no template
-    templates = circuits._template.cache_info().currsize
-    with pytest.raises(ValueError, match="^CRY needs a finite angle$"):
-        wave_evolution_circuit(ModeSystem(n), 0.1)
-    assert circuits._template.cache_info().currsize == templates
+    # 2**n is no float: a ValueError, not an OverflowError, and nothing
+    # cached, even where -2**n times the argument would round to a float
+    circuits._built.cache_clear()
+    for x in (0.0, -0.0, 5e-324, 0.1):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^CRY needs a finite angle$"):
+                wave_evolution_circuit(ModeSystem(n), x)
+    assert circuits._built.cache_info().currsize == 0
     with pytest.raises(ValueError, match="^step size 1 overflows the wave-stage angles$"):
         gate_report("lie", n)
 
@@ -280,7 +295,7 @@ def test_wave_circuit_block_structure(n):
     sys_n = ModeSystem(n=n)
     # per-mode rotations on the data+selector register, ancilla untouched
     assert wave_block_error(sys_n, 0.137) < 1e-13
-    assert cnot_count(wave_evolution_circuit(sys_n, 0.137)) == 2 * n + 4
+    assert wave_evolution_circuit(sys_n, 0.137).cnots == 2 * n + 4
 
 
 @pytest.mark.parametrize("n,d,dim", [(1, 1, 0), (3, 1, 0), (4, 3, 2)])
@@ -329,7 +344,7 @@ def test_damping_real_circuit_action():
     sys1 = ModeSystem(n=1)
     gdt = 0.3
     circ = damping_real_circuit(gdt, sys1)
-    assert cnot_count(circ) == 2
+    assert circ.cnots == 2
     mat = circuit_to_matrix(circ)
     k = np.exp(-gdt)
     # selector |1>, ancilla |0> keeps weight k; the rest leaks to ancilla |1>
@@ -353,7 +368,7 @@ def test_damping_phase_gate_action():
     mat = circuit_to_matrix(circ)
     expected = np.diag([1, 1, np.exp(-0.4j), np.exp(-0.4j), 1, 1, np.exp(-0.4j), np.exp(-0.4j)])
     assert np.max(np.abs(mat - expected)) < 1e-15
-    assert cnot_count(circ) == 0
+    assert circ.cnots == 0
     # the selftest check, on a wider random state
     draw = np.random.default_rng(6)
     for x in (0.4, -1.7):

@@ -179,13 +179,12 @@ def test_gate_report_known_budgets(name, n, d, cnots, qubits):
 
 
 def test_budget_grid_matches_the_formula_cold_and_warm():
-    # the benchmark's budget grid; each plan first with no circuit or
-    # template built, then again with every one of its circuits shared
+    # the benchmark's budget grid; each plan first with no circuit built,
+    # then again with every one of its circuits shared
     for scheme in map(get_scheme, ("lie", "strang", "castella4", "bernier6")):
         for n in range(1, 21):
             for d in (1, 2, 3):
                 circuits._built.cache_clear()
-                circuits._template.cache_clear()
                 cold = gate_report(scheme, n, d)
                 misses = circuits._built.cache_info().misses
                 warm = gate_report(scheme, n, d)

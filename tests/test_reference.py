@@ -138,10 +138,9 @@ def test_dense_expm_nilpotent():
 
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: dense_expm([[1e200, 0], [0, 1]], 1e200), id="product"),
-    pytest.param(lambda: dense_expm([[1e300, 0], [0, 1]]), id="squarings-1e300"),
     pytest.param(lambda: dense_expm([[800, 0], [0, 1]]), id="squarings-800"),
     pytest.param(lambda: dense_expm([[0, 1e308], [0, 0]]), id="scale"),
-    pytest.param(lambda: generic_split_matrix(get_scheme("strang"), 1e200 * np.eye(2),
+    pytest.param(lambda: generic_split_matrix(get_scheme("strang"), 2000 * np.eye(2),
                                               np.eye(2), 1.0, 1), id="split"),
 ])
 def test_dense_expm_names_an_overflow_of_finite_input(call):
@@ -150,6 +149,32 @@ def test_dense_expm_names_an_overflow_of_finite_input(call):
     with pytest.raises(ValueError, match=r"^exp\(M t\) overflows$"):
         call()
     assert dense_expm([[709, 0], [0, 1]])[0, 0].real == pytest.approx(math.exp(709), rel=1e-12)
+
+
+@pytest.mark.parametrize("call,squarings", [
+    # each of these came back wrong, or as a false overflow, with no cap
+    pytest.param(lambda: dense_expm([[-1e20, 0], [0, -1]]), 69, id="decay-1e20"),
+    pytest.param(lambda: dense_expm([[0, 1e20], [-1e20, 0]]), 69, id="rotation-1e20"),
+    pytest.param(lambda: dense_expm([[0, 1e10], [-1e10, 0]]), 36, id="rotation-1e10"),
+    pytest.param(lambda: dense_expm([[0, 1e300], [-1e300, 0]]), 999, id="rotation-1e300"),
+    pytest.param(lambda: dense_expm([[1e300, 0], [0, 1]]), 999, id="squarings-1e300"),
+    pytest.param(lambda: generic_split_matrix(get_scheme("strang"), 1e200 * np.eye(2),
+                                              np.eye(2), 1.0, 1), 666, id="split"),
+])
+def test_dense_expm_refuses_past_twenty_squarings(call, squarings):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == (f"exp(M t) needs {squarings} squarings, "
+                              "past the 20 that keep it accurate")
+
+
+def test_dense_expm_keeps_its_accuracy_up_to_twenty_squarings():
+    # |M t|_1 = 2**18 takes exactly 20 squarings
+    w = 2.0**18
+    got = dense_expm([[0, w], [-w, 0]])
+    want = np.array([[math.cos(w), math.sin(w)], [-math.sin(w), math.cos(w)]])
+    assert np.max(np.abs(got - want)) < 1e-9
+    assert dense_expm([[-w, 0], [0, -1]])[1, 1].real == pytest.approx(math.exp(-1), rel=1e-9)
 
 
 def test_dense_expm_dimension_cap():
