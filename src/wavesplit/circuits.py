@@ -8,10 +8,12 @@ decomposition) and plain rotations worth zero.
 Every circuit uses one register layout (``ModeSystem``): the n*d data
 qubits first, dimension by dimension, then the selector qubit, then the
 damping ancilla on top.  The three stage builders below return one
-shared, frozen circuit per distinct argument.  They write their ops
-straight from the layout and check only that the angles are finite:
-the selector sits above every data qubit and the ancilla above the
-selector, so every target and control is in range and distinct.
+shared, frozen circuit per distinct argument, with its qubit count and
+CNOT total fixed and its largest angle checked to be finite.  Its ops
+are written from the construction rule when they are first read, so a
+plan that is only counted never writes them: the selector sits above
+every data qubit and the ancilla above the selector, so every target
+and control is in range and distinct.
 
 The wave evolution circuit realizes, on one dimension's data register
 plus the shared selector qubit, the block-diagonal rotation
@@ -63,7 +65,9 @@ class GateOp(NamedTuple):
 @dataclass(frozen=True)
 class Circuit:
     """Ops applied in order to ``n_qubits`` qubits.  One pass checks each
-    op's kind, qubits and angle and sums ``cnots``, the total CNOT cost."""
+    op's kind, qubits and angle and sums ``cnots``, the total CNOT cost.
+    A builder's circuit holds its construction rule in place of ``ops``
+    and writes them on first read."""
 
     n_qubits: int
     ops: tuple[GateOp, ...]
@@ -72,6 +76,8 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
         n, cnots = self.n_qubits, 0
+        if not (isinstance(n, Integral) and n >= 0):
+            raise ValueError(f"qubit count {n!r} is not a nonnegative integer")
         for kind, target, control, angle in self.ops:
             if kind not in _KINDS:
                 raise ValueError(f"unknown gate kind {kind!r}")
@@ -95,12 +101,23 @@ class Circuit:
         object.__setattr__(self, "cnots", cnots)
 
     @classmethod
-    def _trusted(cls, n_qubits: int, ops: tuple[GateOp, ...], cnots: int) -> Circuit:
-        """A Circuit of ops already known to fit ``n_qubits`` with finite
-        angles and to cost ``cnots``: the per-op checks are not run again."""
+    def _trusted(cls, n_qubits: int, cnots: int, **ops_or_rule) -> Circuit:
+        """A Circuit of ``ops``, or of the ``_rule`` that writes them, known
+        to fit ``n_qubits`` with finite angles and to cost ``cnots``: the
+        per-op checks are not run."""
         circ = object.__new__(cls)
-        circ.__dict__.update(n_qubits=n_qubits, ops=ops, cnots=cnots)
+        circ.__dict__.update(n_qubits=n_qubits, cnots=cnots, **ops_or_rule)
         return circ
+
+    def __getattr__(self, name):
+        # reached only for an attribute that is not set: the ops of a
+        # builder's circuit before their first read
+        rule = self.__dict__.get("_rule") if name == "ops" else None
+        if rule is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        ops = self.__dict__["ops"] = _rule_ops(*rule)
+        del self.__dict__["_rule"]
+        return ops
 
     @cached_property
     def gates(self) -> tuple[Gate2x2, ...]:
@@ -111,13 +128,32 @@ class Circuit:
 
     @cached_property
     def lower(self) -> Circuit | None:
-        """The same ops on one qubit fewer, or None when an op targets or
-        controls the top qubit: while that qubit reads |0>, this copy runs
-        on the lower half of a state alone."""
+        """The same ops on one qubit fewer, or None when there is no qubit
+        or an op targets or controls the top one: while that qubit reads
+        |0>, this copy runs on the lower half of a state alone."""
         top = self.n_qubits - 1
-        if any(top in (op.target, op.control) for op in self.ops):
+        if top < 0 or any(top in (op.target, op.control) for op in self.ops):
             return None
-        return Circuit._trusted(top, self.ops, self.cnots)
+        return Circuit._trusted(top, self.cnots, ops=self.ops)
+
+    @cached_property
+    def kept(self) -> tuple[Gate2x2, ...] | None:
+        """Gates for a run on a state whose top qubit reads |0> and is next
+        read by a postselection on |0>: the one op on the top qubit, which
+        targets it, keeps of its gate only m00, the entry that postselection
+        reads, as diag(m00, 1).  The top qubit's |1> half stays zero, and
+        the |0> half gets the values of the true gate, which adds m01 times
+        zero: at most the sign of a zero moves, and for an RY with
+        sin >= 0 not even that.  None unless exactly one op touches the
+        top qubit, as its target."""
+        top = self.n_qubits - 1
+        on_top = [i for i, op in enumerate(self.ops) if top in (op.target, op.control)]
+        if len(on_top) != 1 or self.ops[on_top[0]].target != top:
+            return None
+        gates, (i,) = list(self.gates), on_top
+        gates[i] = Gate2x2(np.diag([gates[i].matrix[0, 0], 1.0]))
+        gates[i].matrix.flags.writeable = False
+        return tuple(gates)
 
 
 @dataclass(frozen=True)
@@ -265,35 +301,47 @@ def _built(builder: str, n: int, d: int, arg_bits: str, dim: int = 0) -> Circuit
     and the ints the ops depend on; gamma, c and L do not enter them.  The
     bound holds the 48 distinct circuits of a bernier6 d=3 plan.
 
-    A miss writes the ops straight from the rule: the ladder CRY on data
-    qubit r takes -2**r * x and the closing one -2**n * x (past n = 1023
-    that multiplier is -inf and the finite check rejects it), the damping
-    CRY 2*arccos(exp(-x)) and the phase -x.  The ops go into a list, with
-    no tuple of angles between: one such tuple per miss, built from a
-    generator, raised the peak RSS of a pass over 240 gate budgets from
-    31.9 to 36.6 MB."""
+    A miss counts the CNOTs from the per-kind costs and computes the last
+    op's angle.  A wave circuit checks it: rounding is monotone and the
+    closing CRY holds the largest multiplier, so every angle is finite
+    when it is.  The ops wait for their first read: on a pass over 240
+    gate budgets, writing them took about a third of the time."""
     x = float.fromhex(arg_bits)
-    sel, new = n * d, tuple.__new__
     if builder == "wave":
-        top, m = (dim + 1) * n - 1, -1.0
-        flip = new(GateOp, ("CNOT", sel, top, None))
-        ops = [flip]
-        for q in range(dim * n, top + 1):
-            ops.append(new(GateOp, ("CRY", sel, q, m * x)))
-            m *= 2.0
-        ops += flip, new(GateOp, ("CRY", sel, top, m * x))
+        # the closing multiplier -2**n, or -inf past n = 1023 as the
+        # doubling of the ladder reaches it: 2.0**n itself raises there
+        last = (-math.ldexp(1.0, n) if n < 1024 else -math.inf) * x
+        if not math.isfinite(last):
+            raise ValueError("CRY needs a finite angle")
         cnots = (n + 1) * _KINDS["CRY"][1] + 2 * _KINDS["CNOT"][1]
-    elif builder == "damp_real":
-        ops = [new(GateOp, ("CRY", sel + 1, sel, 2.0 * math.acos(math.exp(-x))))]
-        cnots = _KINDS["CRY"][1]
+    elif builder == "damp_real":  # finite for every x >= 0
+        last, cnots = 2.0 * math.acos(math.exp(-x)), _KINDS["CRY"][1]
     else:
-        ops = [new(GateOp, ("P", sel, None, -x))]
-        cnots = _KINDS["P"][1]
-    # rounding is monotone and the last op holds the largest multiplier,
-    # so every angle is finite when the last one is
-    if not math.isfinite(ops[-1].angle):
-        raise ValueError(f"{ops[-1].kind} needs a finite angle")
-    return Circuit._trusted(sel + 2, tuple(ops), cnots)
+        last, cnots = -x, _KINDS["P"][1]
+    return Circuit._trusted(n * d + 2, cnots, _rule=(builder, n, d, dim, x, last))
+
+
+def _rule_ops(builder: str, n: int, d: int, dim: int, x: float,
+              last: float) -> tuple[GateOp, ...]:
+    """The ops of a builder's circuit from its rule: the ladder CRY on
+    data qubit r takes -2**r * x, doubling the multiplier per op, and the
+    closing CRY, the damping CRY or the phase takes ``last``.  The ops go
+    into a list, with no tuple of angles between: one such tuple per
+    circuit, built from a generator, raised the peak RSS of a pass over
+    240 gate budgets from 31.9 to 36.6 MB."""
+    sel, new = n * d, tuple.__new__
+    if builder == "damp_real":
+        return (new(GateOp, ("CRY", sel + 1, sel, last)),)
+    if builder == "damp_phase":
+        return (new(GateOp, ("P", sel, None, last)),)
+    top, m = (dim + 1) * n - 1, -1.0
+    flip = new(GateOp, ("CNOT", sel, top, None))
+    ops = [flip]
+    for q in range(dim * n, top + 1):
+        ops.append(new(GateOp, ("CRY", sel, q, m * x)))
+        m *= 2.0
+    ops += flip, new(GateOp, ("CRY", sel, top, last))
+    return tuple(ops)
 
 
 @lru_cache(maxsize=1024)
@@ -307,11 +355,13 @@ def _gate(family: str, angle_bits: str | None) -> Gate2x2:
     return gate
 
 
-def apply_circuit(state: StateVector, circuit: Circuit) -> None:
-    """Apply every op in order to ``state`` in place, one kernel call per op."""
+def apply_circuit(state: StateVector, circuit: Circuit,
+                  gates: tuple[Gate2x2, ...] | None = None) -> None:
+    """Apply every op in order to ``state`` in place, one kernel call per
+    op, with the circuit's own gates or ``gates`` in their place."""
     if state.n_qubits != circuit.n_qubits:
         raise ValueError("state and circuit disagree on qubit count")
-    for op, gate in zip(circuit.ops, circuit.gates):
+    for op, gate in zip(circuit.ops, circuit.gates if gates is None else gates):
         if op.control is None:
             apply_1q(state, gate, op.target)
         else:

@@ -142,7 +142,10 @@ def dense_expm(m, t: float = 1.0) -> np.ndarray:
         try:
             a = a * t
             nrm = float(np.linalg.norm(a, 1))
-            squarings = 0 if nrm <= 0.25 else int(math.ceil(math.log2(nrm / 0.25)))
+            # 4 |M t|_1 is inf from 2**1022 on, where log2 of the norm is not
+            scaled = nrm / 0.25
+            squarings = 0 if nrm <= 0.25 else int(math.ceil(
+                math.log2(scaled) if scaled < math.inf else math.log2(nrm) + 2))
             if squarings > _EXPM_MAX_SQUARINGS:
                 raise ValueError(f"exp(M t) needs {squarings} squarings, past the "
                                  f"{_EXPM_MAX_SQUARINGS} that keep it accurate")

@@ -25,6 +25,10 @@ circuit does so once.
 the ancilla-|1> half exactly zero, and the ancilla is the top qubit, so
 until a circuit acts on the ancilla, each circuit runs its ``lower`` copy
 on the ancilla-|0> half alone; that holds across step boundaries too.
+A circuit on the ancilla, the damping CRY, runs on the whole state; but
+while that half is zero and the next stage on the ancilla postselects
+it, it runs with the ``kept`` gates, which leave that half zero, so the
+stages up to the postselection still run on the ancilla-|0> half.
 It runs every gate and postselection on two states of its own over the
 caller's amplitudes, the whole state and that half, so their views and
 scratch die with the run and the caller's state keeps its own cache.
@@ -145,6 +149,18 @@ def build_step(scheme: SplittingScheme, sys: ModeSystem, dt: float) -> SplitStep
     return SplitStepPlan(scheme, sys, dt, tuple(stages))
 
 
+def _postselection_next(stages) -> list[bool]:
+    """Per stage, whether the next stage on the ancilla is a postselection
+    (False where none follows): a circuit is on the ancilla when it has no
+    ``lower`` copy."""
+    out, nxt = [], False
+    for st in reversed(stages):
+        out.append(nxt)
+        if st.circuit is None or st.circuit.lower is None:
+            nxt = st.circuit is None
+    return out[::-1]
+
+
 def simulate(plan: SplitStepPlan, T: int, state: StateVector) -> RunReport:
     """Run T splitting steps on ``state`` in place, postselecting the
     ancilla after each dissipative stage.  The report's ``state`` is
@@ -164,16 +180,21 @@ def simulate(plan: SplitStepPlan, T: int, state: StateVector) -> RunReport:
     # the run's own states: the whole state and its ancilla-|0> half
     full = StateVector(n, state.amp)
     low = StateVector(n - 1, state.amp[: 2 ** (n - 1)])
+    # a step that another follows sees that step's stages after its own
+    then_post = _postselection_next(plan.stages * 2)[: len(plan.stages)]
+    then_post_last = _postselection_next(plan.stages)
     t0 = time.perf_counter()
     success, clear = 1.0, False  # clear: the ancilla-|1> half is exactly zero
-    for _ in range(T):
-        for st in plan.stages:
+    for step in range(T):
+        for st, post_next in zip(plan.stages, then_post if step < T - 1 else then_post_last):
             circuit = st.circuit
             if circuit is None:
                 success *= postselect(full, anc, 0)
                 clear = True
             elif clear and circuit.lower is not None:
                 apply_circuit(low, circuit.lower)
+            elif clear and post_next and circuit.kept is not None:
+                apply_circuit(full, circuit, circuit.kept)
             else:
                 apply_circuit(full, circuit)
                 clear = False

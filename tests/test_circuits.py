@@ -19,8 +19,10 @@ from wavesplit.circuits import (
     qft_circuit,
     wave_evolution_circuit,
 )
-from wavesplit.harness import (damping_contraction_error, damping_phase_error, gate_report,
-                               qft_error, wave_block_error)
+from wavesplit.harness import (damping_contraction_error, damping_phase_error, formula_cnots,
+                               gate_report, qft_error, wave_block_error)
+from wavesplit.schemes import get_scheme
+from wavesplit.splitting import build_step
 from wavesplit.statevector import StateVector
 
 from helpers import circuit_matrix, expected_views, views_by_buffer
@@ -56,6 +58,18 @@ def test_gateop_validation():
             assert str(err.value) == message
     # numpy integers are integers
     assert Circuit(2, (GateOp("CNOT", np.int64(0), np.int64(1)),)).cnots == 1
+
+
+def test_circuit_rejects_a_qubit_count_that_is_no_nonnegative_integer():
+    for n in (2.5, 2.0, -1, "2", None):
+        for _ in range(2):
+            with pytest.raises(ValueError) as err:
+                Circuit(n, (GateOp("X", 1),))
+            assert str(err.value) == f"qubit count {n!r} is not a nonnegative integer"
+    # numpy integers are integers; a qubit count of 0 has no lower copy
+    circ = Circuit(np.int64(3), (GateOp("X", 1),))
+    assert circ.lower == Circuit(2, (GateOp("X", 1),))
+    assert Circuit(1, ()).lower == Circuit(0, ()) and Circuit(0, ()).lower is None
 
 
 def test_wiring_valid_at_n_still_raises_at_n_minus_1():
@@ -262,6 +276,65 @@ def test_builders_match_the_construction_rule_bit_for_bit(x):
                         assert circ.lower.cnots == circ.cnots
 
 
+def rule_args(scheme, sys_: ModeSystem, dt: float) -> list[tuple[str, float, int]]:
+    """(builder, argument, dimension) of each circuit stage of a
+    ``build_step`` plan, in stage order, computed as ``build_step`` does."""
+    out = []
+
+    def dissipative(ai: complex) -> None:
+        out.append(("damp_real", sys_.gamma * ai.real * dt, 0))
+        if abs(ai.imag) >= 1e-15:
+            out.append(("damp_phase", sys_.gamma * ai.imag * dt, 0))
+
+    for i, bi in enumerate(scheme.b):
+        dissipative(complex(scheme.a[i]))
+        out += [("wave", sys_.zeta * bi * dt, dim) for dim in range(sys_.d)]
+    if len(scheme.a) == len(scheme.b) + 1:
+        dissipative(complex(scheme.a[-1]))
+    return out
+
+
+@pytest.mark.parametrize("name", ["lie", "strang", "castella4", "bernier6"])
+@pytest.mark.parametrize("n,d", [(1, 1), (7, 1), (4, 2), (15, 3)])
+def test_a_counted_plan_writes_no_ops_until_they_are_read(name, n, d):
+    circuits._built.cache_clear()  # a run elsewhere may have read these circuits
+    scheme, sys_ = get_scheme(name), ModeSystem(n=n, d=d, gamma=0.5)
+    plan = build_step(scheme, sys_, 0.1)
+    cnots = plan.cnot_per_step
+    assert cnots == formula_cnots(scheme, n, d)
+    circs = [st.circuit for st in plan.stages if st.circuit is not None]
+    assert not any("ops" in vars(circ) for circ in circs)
+    # read now, every op follows the rule bit for bit and no total moves
+    args = rule_args(scheme, sys_, 0.1)
+    assert len(args) == len(circs)
+    for circ, (builder, x, dim) in zip(circs, args):
+        before = circ.cnots
+        assert outcome(lambda: circ) == outcome(lambda: built_by_rule(builder, sys_, x, dim))
+        assert circ.cnots == before == per_op_cnots(circ)
+    assert plan.cnot_per_step == cnots
+
+
+@pytest.mark.parametrize("read", [
+    lambda c: c.ops, lambda c: c.gates, lambda c: c.lower, lambda c: c.kept,
+    lambda c: c == Circuit(c.n_qubits, ()), repr, hash, circuit_dump,
+    lambda c: apply_circuit(StateVector.basis(c.n_qubits), c),
+], ids=["ops", "gates", "lower", "kept", "eq", "repr", "hash", "dump", "apply"])
+def test_every_reader_of_a_builders_ops_writes_them_once(read):
+    sys_ = ModeSystem(n=3, d=2)
+    for build in (lambda: wave_evolution_circuit(sys_, 0.3, 1),
+                  lambda: damping_real_circuit(0.3, sys_),
+                  lambda: damping_phase_gate(0.3, sys_)):
+        circuits._built.cache_clear()
+        circ = build()
+        assert set(vars(circ)) == {"n_qubits", "cnots", "_rule"}
+        read(circ)
+        ops = vars(circ)["ops"]
+        assert "_rule" not in vars(circ) and circ.ops is ops
+        assert circ == Circuit(circ.n_qubits, ops) and build() is circ
+        with pytest.raises(AttributeError, match="has no attribute 'opz'"):
+            circ.opz
+
+
 def test_a_rejected_miss_caches_nothing():
     sys_ = ModeSystem(n=20, d=3)
     wave_evolution_circuit(sys_, 0.5, 2)
@@ -398,6 +471,38 @@ def test_lower_copy_is_none_exactly_when_an_op_touches_the_top_qubit():
                 (GateOp("X", 0), GateOp("CRY", anc, sel, 0.9))):
         assert Circuit(sys2.n_qubits, ops).lower is None
     assert damping_real_circuit(0.1, sys2).lower is None
+
+
+def test_kept_gates_keep_the_zero_column_of_the_one_gate_on_the_top_qubit():
+    sys2 = ModeSystem(n=2, gamma=0.3)
+    anc, sel, nq = sys2.ancilla, sys2.selector, sys2.n_qubits
+    damp = damping_real_circuit(0.7, sys2)
+    m = damp.gates[0].matrix
+    assert np.array_equal(damp.kept[0].matrix, np.diag([m[0, 0], 1]))
+    assert damp.kept is damp.kept
+    with pytest.raises(ValueError):
+        damp.kept[0].matrix[1, 1] = 2.0
+    mixed = Circuit(nq, (GateOp("RY", 0, angle=0.4), GateOp("CRY", anc, sel, -2.5),
+                         GateOp("CNOT", 1, sel), GateOp("P", sel, angle=0.3)))
+    assert mixed.kept[0] is mixed.gates[0] and mixed.kept[2:] == mixed.gates[2:]
+    # none unless exactly one op touches the top qubit, as its target
+    for ops in ((), (GateOp("CRY", anc, sel, 0.4), GateOp("CRY", anc, 0, 0.4)),
+                (GateOp("CRY", sel, anc, 0.4),), (GateOp("X", anc), GateOp("RY", anc, angle=0.2))):
+        assert Circuit(nq, ops).kept is None
+    assert wave_evolution_circuit(sys2, 0.4).kept is None
+    # on a state whose top qubit reads |0>, the |0> half gets the values
+    # of the true gates (the bits too, for an RY with sin >= 0), and the
+    # |1> half stays zero
+    for circ, same_bits in ((damp, True), (mixed, False)):
+        amp = np.zeros(2**nq, dtype=complex)
+        amp[: 2 ** (nq - 1)] = rng.standard_normal(2 ** (nq - 1)) + 1j
+        true, kept = StateVector(nq, amp.copy()), StateVector(nq, amp.copy())
+        apply_circuit(true, circ)
+        apply_circuit(kept, circ, circ.kept)
+        low = 2 ** (nq - 1)
+        assert np.any(true.amp[low:]) and not np.any(kept.amp[low:])
+        assert np.array_equal(kept.amp[:low], true.amp[:low])
+        assert (kept.amp[:low].tobytes() == true.amp[:low].tobytes()) or not same_bits
 
 
 def test_gates_are_shared_by_family_and_exact_angle():

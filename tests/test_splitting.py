@@ -316,17 +316,20 @@ def test_one_kernel_call_per_planned_gate(monkeypatch, n, d):
     assert calls["postselect"] == T * plan.stage_counts()["postselect"]
     assert report.state is initial
 
-    # wave gates run on the ancilla-|0> half, everything else full width
+    # after the run's first postselection every stage but damp_real and
+    # the postselections runs on the ancilla-|0> half; before it, the
+    # first dissipative group runs full width
     nq = plan.n_qubits
-    expected = []
-    for st in plan.stages:
+    expected, post = [], False
+    for st in T * plan.stages:
         if st.kind == "postselect":
             expected.append(("postselect", nq))
+            post = True
             continue
-        width = nq - 1 if st.kind == "wave" else nq
+        width = nq - 1 if post and st.kind != "damp_real" else nq
         expected += [("apply_1q" if op.control is None else "apply_controlled", width)
                      for op in st.circuit.ops]
-    assert seen == T * expected
+    assert seen == expected
 
 
 # ------------------------------------------------------- half-state stages
@@ -347,24 +350,52 @@ def full_width_run(plan, T, initial):
     return state, success
 
 
+def assert_same_bits(state, ref):
+    """The ancilla-|0> half bit for bit, the ancilla-|1> half by value: a
+    wave stage run on the half state leaves that zero half as +0.0 where
+    one at full width may write -0.0 (a plan that ends in a wave stage)."""
+    low = state.amp.size // 2
+    assert state.amp[:low].tobytes() == ref.amp[:low].tobytes()
+    assert np.array_equal(state.amp, ref.amp)
+
+
 def assert_matches_full_width(plan, T, initial):
     ref, success = full_width_run(plan, T, initial)
     report = simulate(plan, T, initial)
     assert report.state is initial and not initial._views
-    assert np.array_equal(report.state.amp, ref.amp)
+    assert_same_bits(report.state, ref)
     assert report.success_prob == success
     return report
+
+
+def kept_spy(monkeypatch):
+    """Record (qubits, ran kept gates) for each circuit ``simulate`` runs."""
+    runs = []
+    inner = splitting.apply_circuit
+
+    def spy(state, circuit, *gates):
+        runs.append((state.n_qubits, bool(gates)))
+        inner(state, circuit, *gates)
+    monkeypatch.setattr(splitting, "apply_circuit", spy)
+    return runs
 
 
 @pytest.mark.parametrize("name", ["lie", "strang", "castella4", "bernier6"])
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("T", [1, 2, 3])
-def test_half_state_stages_match_full_width(name, d, T):
+def test_half_state_stages_match_full_width(monkeypatch, name, d, T):
     n = 3 if d == 1 else 2
     phi, dphi = random_fields(2**n, d)
     plan = build_step(get_scheme(name), ModeSystem(n=n, d=d, gamma=0.6), 0.07)
+    runs = kept_spy(monkeypatch)
     report = assert_matches_full_width(plan, T, encode_initial(phi, dphi))
     assert not np.any(report.state.amp[2 ** (plan.n_qubits - 1):])
+    # every damp_real but the run's first follows a postselection and
+    # precedes one: it keeps its zero column, in one call at full width;
+    # only the first dissipative group runs true gates at full width
+    nq, damps = plan.n_qubits, plan.stage_counts()["damp_real"]
+    assert runs.count((nq, True)) == T * damps - 1
+    assert runs.count((nq, False)) == 1 + (plan.stages[1].kind == "damp_phase")
 
 
 def warm_ancilla_initial(sys_):
@@ -383,6 +414,29 @@ def hand_built(stages_of):
     damp = Stage("damp_real", 0.05, circuits.damping_real_circuit(0.05, sys3))
     stages = stages_of(wave, damp, sys3)
     return SplitStepPlan(get_scheme("lie"), sys3, 0.1, stages), wave, damp
+
+
+def test_damping_with_no_postselection_after_it_runs_the_true_gate(monkeypatch):
+    # a trailing damp_real is followed within the step by no postselection:
+    # before a step whose first stage on the ancilla is a postselection it
+    # keeps its zero column; before a damp_real, or at the run's end, it
+    # runs the true CRY, and the final ancilla-|1> half is not zero
+    phi, dphi = random_fields(8)
+    nq = 5
+    runs = kept_spy(monkeypatch)
+    for stages_of, T, expected in (
+            (lambda w, d, _: (w, POSTSELECT, w, d), 2,
+             [(nq, False), (nq - 1, False), (nq, True),
+              (nq - 1, False), (nq - 1, False), (nq, False)]),
+            (lambda w, d, _: (w, d, POSTSELECT, w, d), 2,
+             [(nq, False), (nq, False), (nq - 1, False), (nq, False),
+              (nq, False), (nq, False), (nq - 1, False), (nq, False)]),
+            (lambda w, d, _: (d, POSTSELECT, d), 1, [(nq, False), (nq, False)])):
+        plan, _, _ = hand_built(stages_of)
+        runs.clear()
+        report = assert_matches_full_width(plan, T, encode_initial(phi, dphi))
+        assert runs == expected
+        assert np.any(report.state.amp[2 ** (nq - 1):])
 
 
 def test_wave_before_any_postselect_runs_full_width():
@@ -405,9 +459,9 @@ def test_half_state_carries_across_steps(monkeypatch):
     widths = []
     inner = splitting.apply_circuit
 
-    def spy(state, circuit):
+    def spy(state, circuit, *gates):
         widths.append(state.n_qubits)
-        inner(state, circuit)
+        inner(state, circuit, *gates)
     plan, _, _ = hand_built(lambda w, d, _: (w, d, POSTSELECT, w))
     initial = warm_ancilla_initial(plan.sys)
     monkeypatch.setattr(splitting, "apply_circuit", spy)
@@ -438,8 +492,8 @@ def test_simulate_runs_on_aligned_states_of_its_own(monkeypatch):
     seen = []
     inner = splitting.apply_circuit
 
-    def spy(state, circuit):
-        inner(state, circuit)
+    def spy(state, circuit, *gates):
+        inner(state, circuit, *gates)
         seen.append((state, state._views.work.ctypes.data % 64))
     monkeypatch.setattr(splitting, "apply_circuit", spy)
     phi, dphi = random_fields(8)
