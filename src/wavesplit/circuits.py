@@ -128,13 +128,13 @@ class Circuit:
 
     @cached_property
     def lower(self) -> Circuit | None:
-        """The same ops on one qubit fewer, or None when there is no qubit
-        or an op targets or controls the top one: while that qubit reads
-        |0>, this copy runs on the lower half of a state alone."""
+        """The same ops and gates on one qubit fewer, or None when there is
+        no qubit or an op targets or controls the top one: while that qubit
+        reads |0>, this copy runs on the lower half of a state alone."""
         top = self.n_qubits - 1
         if top < 0 or any(top in (op.target, op.control) for op in self.ops):
             return None
-        return Circuit._trusted(top, self.cnots, ops=self.ops)
+        return Circuit._trusted(top, self.cnots, ops=self.ops, gates=self.gates)
 
     @cached_property
     def kept(self) -> tuple[Gate2x2, ...] | None:

@@ -21,17 +21,15 @@ builds no gate matrix: a circuit looks its gates up on its first run,
 from one process-wide Gate2x2 per (matrix family, angle), and a shared
 circuit does so once.
 
-``simulate`` runs the stage tuple as it stands.  A postselection leaves
-the ancilla-|1> half exactly zero, and the ancilla is the top qubit, so
-until a circuit acts on the ancilla, each circuit runs its ``lower`` copy
-on the ancilla-|0> half alone; that holds across step boundaries too.
-A circuit on the ancilla, the damping CRY, runs on the whole state; but
-while that half is zero and the next stage on the ancilla postselects
-it, it runs with the ``kept`` gates, which leave that half zero, so the
-stages up to the postselection still run on the ancilla-|0> half.
-It runs every gate and postselection on two states of its own over the
-caller's amplitudes, the whole state and that half, so their views and
-scratch die with the run and the caller's state keeps its own cache.
+``simulate`` runs the stage tuple by one rule: while the ancilla-|1>
+half is exactly zero, as in an encoded input and after a postselection,
+a circuit off the ancilla (the top qubit) runs its ``lower`` copy on the
+ancilla-|0> half alone, and the damping CRY, when a postselection follows
+it within the step, runs its diagonal ``kept`` gates on the whole state,
+which leave that half zero.  So a ``build_step`` run from an encoded
+input puts only those gates and the postselections on the whole state,
+and only the half state carves scratch.  Both states are the run's own,
+over the caller's amplitudes: their views and scratch die with the run.
 """
 
 from __future__ import annotations
@@ -150,9 +148,9 @@ def build_step(scheme: SplittingScheme, sys: ModeSystem, dt: float) -> SplitStep
 
 
 def _postselection_next(stages) -> list[bool]:
-    """Per stage, whether the next stage on the ancilla is a postselection
-    (False where none follows): a circuit is on the ancilla when it has no
-    ``lower`` copy."""
+    """Per stage, whether the next stage on the ancilla within the step is
+    a postselection (False where none follows): a circuit is on the
+    ancilla when it has no ``lower`` copy."""
     out, nxt = [], False
     for st in reversed(stages):
         out.append(nxt)
@@ -175,18 +173,17 @@ def simulate(plan: SplitStepPlan, T: int, state: StateVector) -> RunReport:
         raise ValueError("initial state size does not match the plan")
     anc, n = plan.sys.ancilla, plan.n_qubits
     top = state.amp[2 ** (n - 1):]  # the ancilla-|1> half: the ancilla is the top qubit
-    if np.vdot(top, top).real > 1e-12:
+    clear = not top.any()  # while True, that half is exactly zero
+    if not clear and np.vdot(top, top).real > 1e-12:
         raise ValueError("ancilla must start in |0>")
     # the run's own states: the whole state and its ancilla-|0> half
     full = StateVector(n, state.amp)
     low = StateVector(n - 1, state.amp[: 2 ** (n - 1)])
-    # a step that another follows sees that step's stages after its own
-    then_post = _postselection_next(plan.stages * 2)[: len(plan.stages)]
-    then_post_last = _postselection_next(plan.stages)
+    then_post = _postselection_next(plan.stages)
     t0 = time.perf_counter()
-    success, clear = 1.0, False  # clear: the ancilla-|1> half is exactly zero
-    for step in range(T):
-        for st, post_next in zip(plan.stages, then_post if step < T - 1 else then_post_last):
+    success = 1.0
+    for _ in range(T):
+        for st, post_next in zip(plan.stages, then_post):
             circuit = st.circuit
             if circuit is None:
                 success *= postselect(full, anc, 0)

@@ -467,6 +467,8 @@ def test_lower_copy_is_none_exactly_when_an_op_touches_the_top_qubit():
                  Circuit(4, qft_circuit(3).ops)):
         assert circ.lower == Circuit(circ.n_qubits - 1, circ.ops)
         assert circ.lower is circ.lower
+        # the copy shares its parent's gates: they are looked up once
+        assert circ.lower.gates is circ.gates
     for ops in ((GateOp("RY", anc, angle=0.4),), (GateOp("CRY", sel, anc, 0.9),),
                 (GateOp("X", 0), GateOp("CRY", anc, sel, 0.9))):
         assert Circuit(sys2.n_qubits, ops).lower is None

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import mpmath
 import numpy as np
@@ -120,10 +121,13 @@ def test_validation_catches_negative_real_part():
 def test_scheme_tables_meet_their_order_conditions():
     # one step's local error ||S(dt) - exp((H1 + i H2) dt)|| falls as
     # dt**(order + 1) only if the coefficients meet every order condition,
-    # so a wrong late digit in a table lowers the slope.  The double
-    # literals meet them to about 1e-17, which leaves a floor near 5e-18:
-    # these dt keep bernier6's error (1e-10 .. 8e-15) well above it, where
-    # smaller ones bent its slope to 2-6.
+    # so a wrong late digit in a table lowers the slope.  bernier6's double
+    # literals miss the conditions by up to 1.2e-14 (see the word test
+    # below; Sum b_i Im(a_0 + ... + a_i) is 1.224e-14 in exact arithmetic
+    # on the doubles) and their sums by 1.2e-16.  On these matrices that
+    # leaves a floor: its error reads 5.9e-18, 2.7e-18 and 1.2e-18 at
+    # dt = 0.02, 0.01 and 0.005, at 20 digits and at 40 alike.  These dt
+    # keep its error (1.3e-10 .. 7.8e-15) well above that floor.
     gen = np.random.default_rng(5)
     dts = (0.32, 0.16, 0.08)
     slopes = []
@@ -143,6 +147,51 @@ def test_scheme_tables_meet_their_order_conditions():
                 errs.append(float(mpmath.mnorm(step - exact, 1)))
             slopes.append(fit_order(dts, errs))
     assert slopes == pytest.approx([s.order + 1 for s in builtin_schemes()], abs=0.5)
+
+
+def word_residuals(scheme, length: int) -> list[float]:
+    """Per word length k = 1..length, the largest distance from 1/k! of a
+    word's coefficient in one step's product of exp(a_i A) and exp(b_i B),
+    A and B two non-commuting letters, expanded in complex floats.  The
+    exact flow exp(A + B) gives every word of length k the coefficient
+    1/k!, so a scheme has order p exactly when lengths 1..p match."""
+    factors = []
+    for i, bi in enumerate(scheme.b):
+        factors += [("A", complex(scheme.a[i])), ("B", complex(bi))]
+    if len(scheme.a) > len(scheme.b):
+        factors.append(("A", complex(scheme.a[-1])))
+    coef = {"": 1 + 0j}
+    for letter, c in factors:  # the later factor multiplies from the left
+        new = {}
+        for word, v in coef.items():
+            term = v
+            for j in range(length - len(word) + 1):
+                key = letter * j + word
+                new[key] = new.get(key, 0j) + term
+                term *= c / (j + 1)
+        coef = new
+    worst = [0.0] * length
+    for word, v in coef.items():
+        if word:
+            k = len(word)
+            worst[k - 1] = max(worst[k - 1], abs(v - 1 / math.factorial(k)))
+    return worst
+
+
+@pytest.mark.parametrize("scheme", builtin_schemes() + [yoshida4()], ids=lambda s: s.name)
+def test_tables_meet_their_order_conditions_word_by_word(scheme):
+    # bernier6's literals miss by up to 1.2e-14 through length 6 and by
+    # 9.8e-7 at 7; castella4 by 1.1e-16 through 4 and 1.2e-3 at 5
+    res = word_residuals(scheme, scheme.order + 1)
+    assert max(res[: scheme.order]) <= 1e-13, res
+    assert res[scheme.order] >= 1e-8, res
+
+
+def test_word_check_catches_a_perturbed_coefficient():
+    a = list(BERNIER6.a)
+    a[3] += 1e-12
+    res = word_residuals(dataclasses.replace(BERNIER6, a=tuple(a)), 7)
+    assert res[0] > 1e-13  # fails at length 1, the sum of a
 
 
 def test_get_scheme_unknown_name():

@@ -316,17 +316,16 @@ def test_one_kernel_call_per_planned_gate(monkeypatch, n, d):
     assert calls["postselect"] == T * plan.stage_counts()["postselect"]
     assert report.state is initial
 
-    # after the run's first postselection every stage but damp_real and
-    # the postselections runs on the ancilla-|0> half; before it, the
-    # first dissipative group runs full width
+    # the encoded input's ancilla-|1> half is zero, so from the first stage
+    # on every stage but damp_real and the postselections runs on the
+    # ancilla-|0> half
     nq = plan.n_qubits
-    expected, post = [], False
+    expected = []
     for st in T * plan.stages:
         if st.kind == "postselect":
             expected.append(("postselect", nq))
-            post = True
             continue
-        width = nq - 1 if post and st.kind != "damp_real" else nq
+        width = nq if st.kind == "damp_real" else nq - 1
         expected += [("apply_1q" if op.control is None else "apply_controlled", width)
                      for op in st.circuit.ops]
     assert seen == expected
@@ -368,13 +367,16 @@ def assert_matches_full_width(plan, T, initial):
     return report
 
 
-def kept_spy(monkeypatch):
-    """Record (qubits, ran kept gates) for each circuit ``simulate`` runs."""
+def kept_spy(monkeypatch, states=None):
+    """Record (qubits, ran kept gates) for each circuit ``simulate`` runs,
+    and each state it ran one on by its qubit count into ``states``."""
     runs = []
     inner = splitting.apply_circuit
 
     def spy(state, circuit, *gates):
         runs.append((state.n_qubits, bool(gates)))
+        if states is not None:
+            states[state.n_qubits] = state
         inner(state, circuit, *gates)
     monkeypatch.setattr(splitting, "apply_circuit", spy)
     return runs
@@ -387,15 +389,18 @@ def test_half_state_stages_match_full_width(monkeypatch, name, d, T):
     n = 3 if d == 1 else 2
     phi, dphi = random_fields(2**n, d)
     plan = build_step(get_scheme(name), ModeSystem(n=n, d=d, gamma=0.6), 0.07)
-    runs = kept_spy(monkeypatch)
+    states = {}
+    runs = kept_spy(monkeypatch, states)
     report = assert_matches_full_width(plan, T, encode_initial(phi, dphi))
     assert not np.any(report.state.amp[2 ** (plan.n_qubits - 1):])
-    # every damp_real but the run's first follows a postselection and
-    # precedes one: it keeps its zero column, in one call at full width;
-    # only the first dissipative group runs true gates at full width
-    nq, damps = plan.n_qubits, plan.stage_counts()["damp_real"]
-    assert runs.count((nq, True)) == T * damps - 1
-    assert runs.count((nq, False)) == 1 + (plan.stages[1].kind == "damp_phase")
+    # the encoded input's ancilla-|1> half is zero, and every damp_real
+    # precedes a postselection in its step: each keeps its zero column, in
+    # one call at full width, and every other circuit runs on the half state
+    nq = plan.n_qubits
+    assert runs == [(nq, True) if st.kind == "damp_real" else (nq - 1, False)
+                    for st in T * plan.stages if st.circuit is not None]
+    # kept gates are diagonal, so the whole state never carves scratch
+    assert states[nq]._views.work is None
 
 
 def warm_ancilla_initial(sys_):
@@ -417,21 +422,23 @@ def hand_built(stages_of):
 
 
 def test_damping_with_no_postselection_after_it_runs_the_true_gate(monkeypatch):
-    # a trailing damp_real is followed within the step by no postselection:
-    # before a step whose first stage on the ancilla is a postselection it
-    # keeps its zero column; before a damp_real, or at the run's end, it
-    # runs the true CRY, and the final ancilla-|1> half is not zero
+    # a trailing damp_real is followed within its step by no postselection,
+    # so it runs the true CRY, also where the next step's first stage on
+    # the ancilla postselects; the stages after it run full width up to
+    # the next postselection, and the final ancilla-|1> half is not zero.
+    # A damp_real with a postselection after it in its step, from a zero
+    # ancilla-|1> half, keeps its zero column
     phi, dphi = random_fields(8)
     nq = 5
     runs = kept_spy(monkeypatch)
     for stages_of, T, expected in (
             (lambda w, d, _: (w, POSTSELECT, w, d), 2,
-             [(nq, False), (nq - 1, False), (nq, True),
-              (nq - 1, False), (nq - 1, False), (nq, False)]),
+             [(nq - 1, False), (nq - 1, False), (nq, False),
+              (nq, False), (nq - 1, False), (nq, False)]),
             (lambda w, d, _: (w, d, POSTSELECT, w, d), 2,
-             [(nq, False), (nq, False), (nq - 1, False), (nq, False),
+             [(nq - 1, False), (nq, True), (nq - 1, False), (nq, False),
               (nq, False), (nq, False), (nq - 1, False), (nq, False)]),
-            (lambda w, d, _: (d, POSTSELECT, d), 1, [(nq, False), (nq, False)])):
+            (lambda w, d, _: (d, POSTSELECT, d), 1, [(nq, True), (nq, False)])):
         plan, _, _ = hand_built(stages_of)
         runs.clear()
         report = assert_matches_full_width(plan, T, encode_initial(phi, dphi))
@@ -494,22 +501,25 @@ def test_simulate_runs_on_aligned_states_of_its_own(monkeypatch):
 
     def spy(state, circuit, *gates):
         inner(state, circuit, *gates)
-        seen.append((state, state._views.work.ctypes.data % 64))
+        work = state._views.work
+        seen.append((state, None if work is None else work.ctypes.data % 64))
     monkeypatch.setattr(splitting, "apply_circuit", spy)
     phi, dphi = random_fields(8)
     plan = build_step(get_scheme("strang"), ModeSystem(n=3, gamma=0.6), 0.1)
     initial = encode_initial(phi, dphi)
     simulate(plan, 2, initial)
     # full-width and half-state circuits ran on two states over the
-    # caller's amplitudes, each with its own scratch of 2**(n-1) amplitudes,
-    # which starts on a 64-byte boundary
+    # caller's amplitudes; only the half state carves scratch, 2**(n-1)
+    # amplitudes from a 64-byte boundary, since the whole state runs
+    # only the kept, diagonal damping gates
     nq = plan.n_qubits
     states = {id(state): state for state, _ in seen}.values()
     assert sorted(state.n_qubits for state in states) == [nq - 1, nq]
     assert all(state is not initial and np.shares_memory(state.amp, initial.amp)
                for state in states)
-    assert [state._views.work.size for state in states] == [2 ** (nq - 1)] * 2
-    assert {offset for _, offset in seen} == {0}
+    low, full = sorted(states, key=lambda state: state.n_qubits)
+    assert full._views.work is None and low._views.work.size == 2 ** (nq - 1)
+    assert {offset for state, offset in seen if state is low} == {0}
     assert not initial._views and initial._views.work is None
 
 
