@@ -292,14 +292,20 @@ def damping_phase_gate(gamma_im_dt: float, sys: ModeSystem) -> Circuit:
     return _built("damp_phase", sys.n, sys.d, float(gamma_im_dt).hex())
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=2048)
 def _built(builder: str, n: int, d: int, arg_bits: str, dim: int = 0) -> Circuit:
     """The one Circuit of a builder and its checked arguments, shared by
     every caller: symmetric schemes repeat their coefficients, so a step
     plan holds each distinct circuit several times.  The key is the exact
     bits of the argument (``float.hex``), so that 0.0 and -0.0 stay apart,
     and the ints the ops depend on; gamma, c and L do not enter them.  The
-    bound holds the 48 distinct circuits of a bernier6 d=3 plan.
+    bound holds the 1380 distinct circuits of the 240 gate budgets for 4
+    schemes x n = 1..20 x d = 1..3, so a second pass over them builds none
+    (at 128, a pass that visits each budget 4 times missed about 6800
+    times).  Under tracemalloc an entry whose ops are unread takes about
+    630 B, 0.87 MB for the 1380; a run wave circuit adds its ops, gates
+    tuple and ``lower`` copy, about 1 KiB at n = 5 and 2.5 KiB at n = 20,
+    beside the gate matrices it shares through ``_gate``.
 
     A miss counts the CNOTs from the per-kind costs and computes the last
     op's angle.  A wave circuit checks it: rounding is monotone and the

@@ -17,9 +17,11 @@ diagonal.  Phase stages with |Im(a)| < 1e-15 are omitted.
 The circuit builders return one shared Circuit per distinct argument, so
 stages of equal kind and param (and, for waves, dimension) hold the same
 object; ``build_step`` still calls a builder once per circuit stage.  It
-builds no gate matrix: a circuit looks its gates up on its first run,
-from one process-wide Gate2x2 per (matrix family, angle), and a shared
-circuit does so once.
+writes its stages as trusted records, without the checks of
+``Stage(...)``: each kind is valid and each circuit present by
+construction.  It builds no gate matrix: a circuit looks its gates up
+on its first run, from one process-wide Gate2x2 per (matrix family,
+angle), and a shared circuit does so once.
 
 ``simulate`` runs the stage tuple by one rule: while the ancilla-|1>
 half is exactly zero, as in an encoded input and after a postselection,
@@ -63,6 +65,15 @@ class Stage:
             raise ValueError(f"unknown stage kind {self.kind!r}")
         if (self.kind == "postselect") != (self.circuit is None):
             raise ValueError("every stage but a postselection carries a circuit")
+
+    @classmethod
+    def _trusted(cls, kind: str, param: float, circuit: Circuit) -> Stage:
+        """A Stage whose kind is known valid and whose circuit is present:
+        ``__post_init__`` is not run."""
+        st = object.__new__(cls)
+        fields = st.__dict__
+        fields["kind"], fields["param"], fields["circuit"] = kind, param, circuit
+        return st
 
 
 POSTSELECT = Stage("postselect")
@@ -113,7 +124,7 @@ class RunReport:
 
 def build_step(scheme: SplittingScheme, sys: ModeSystem, dt: float) -> SplitStepPlan:
     """Lay out one splitting step of size dt as an ordered stage tuple."""
-    if not 0 < dt < np.inf:
+    if not 0 < dt < math.inf:
         raise ValueError("step size must be positive and finite")
     a, b = scheme.a, scheme.b
     if not (len(a) == len(b) + 1 or len(a) == len(b) == 1):
@@ -122,26 +133,26 @@ def build_step(scheme: SplittingScheme, sys: ModeSystem, dt: float) -> SplitStep
     for i, ai in enumerate(a):
         if complex(ai).real < 0:
             raise ValueError(f"dissipative coefficient a[{i}] = {ai} has a negative real part")
+    gamma, zeta, stage = sys.gamma, sys.zeta, Stage._trusted
     # the largest dissipative argument and wave angle the circuits will take
-    if not np.isfinite(sys.gamma * max(abs(complex(ai)) for ai in a) * dt):
-        raise ValueError(f"damping rate {sys.gamma:g} times step size {dt:g} overflows")
+    if not math.isfinite(gamma * max(abs(complex(ai)) for ai in a) * dt):
+        raise ValueError(f"damping rate {gamma:g} times step size {dt:g} overflows")
     # 2.0**n itself overflows from n = 1024 on
-    if sys.n >= 1024 or not np.isfinite(sys.zeta * max(abs(bi) for bi in b) * dt * 2.0**sys.n):
+    if sys.n >= 1024 or not math.isfinite(zeta * max(abs(bi) for bi in b) * dt * 2.0**sys.n):
         raise ValueError(f"step size {dt:g} overflows the wave-stage angles")
     stages: list[Stage] = []
 
     def dissipative(ai: complex) -> None:
-        g_re, g_im = sys.gamma * ai.real * dt, sys.gamma * ai.imag * dt
-        stages.append(Stage("damp_real", g_re, damping_real_circuit(g_re, sys)))
+        g_re, g_im = gamma * ai.real * dt, gamma * ai.imag * dt
+        stages.append(stage("damp_real", g_re, damping_real_circuit(g_re, sys)))
         if abs(ai.imag) >= _IM_OMIT_TOL:
-            stages.append(Stage("damp_phase", g_im, damping_phase_gate(g_im, sys)))
+            stages.append(stage("damp_phase", g_im, damping_phase_gate(g_im, sys)))
         stages.append(POSTSELECT)
 
     for i, bi in enumerate(b):
         dissipative(complex(a[i]))
         for dim in range(sys.d):
-            stages.append(Stage("wave", bi * dt,
-                                wave_evolution_circuit(sys, sys.zeta * bi * dt, dim)))
+            stages.append(stage("wave", bi * dt, wave_evolution_circuit(sys, zeta * bi * dt, dim)))
     if len(a) == len(b) + 1:
         dissipative(complex(a[-1]))
     return SplitStepPlan(scheme, sys, dt, tuple(stages))
@@ -174,7 +185,7 @@ def simulate(plan: SplitStepPlan, T: int, state: StateVector) -> RunReport:
     anc, n = plan.sys.ancilla, plan.n_qubits
     top = state.amp[2 ** (n - 1):]  # the ancilla-|1> half: the ancilla is the top qubit
     clear = not top.any()  # while True, that half is exactly zero
-    if not clear and np.vdot(top, top).real > 1e-12:
+    if not clear and not np.vdot(top, top).real <= 1e-12:  # nan and inf too
         raise ValueError("ancilla must start in |0>")
     # the run's own states: the whole state and its ancilla-|0> half
     full = StateVector(n, state.amp)

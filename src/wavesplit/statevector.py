@@ -18,9 +18,12 @@ is one block (the gate acts on the top qubit or the top two): then they
 update the pair in place.  Views are per state: the first gate on a
 wiring checks its qubits and caches the views on the state, so later
 gates on it do only the arithmetic.  A state's scratch views are all
-carved from one buffer, which starts on a 64-byte boundary.  A state's
-fields are fixed at construction, so its cache is built on first use,
-grows with the largest need seen, and lives as long as the state.
+carved from one buffer, which starts on a 64-byte boundary and holds at
+least as many amplitudes as the state, what a copied controlled
+rotation takes.  A
+state's fields are fixed at construction, so its cache is built on first
+use, grows with the largest need seen (only a copied one-qubit rotation
+or general gate needs more), and lives as long as the state.
 """
 
 from __future__ import annotations
@@ -183,7 +186,9 @@ def _carve(state: StateVector, key: tuple, target: int, control: int | None,
     size = math.prod(shape)
     if views.work is None or views.work.size < size:
         views.clear()  # every entry stays carved from the one buffer
-        views.work = _work(size)
+        # at least what a copied controlled rotation takes, 2**n amplitudes,
+        # so that a first CNOT's smaller swap scratch is not carved again
+        views.work = _work(max(size, 2**n))
     scratch = views.work[:size].reshape(shape)
     if in_place:
         views[key] = (pair, *pair, scratch, *scratch)

@@ -192,6 +192,21 @@ def test_budget_grid_matches_the_formula_cold_and_warm():
                 assert cold.per_step_cnots == warm.per_step_cnots == cold.formula_cnots
 
 
+def test_the_circuit_cache_holds_the_whole_budget_grid():
+    # the grid's 1380 distinct circuits fit the cache's bound, so a second
+    # pass over all 240 plans builds none of them again
+    grid = [(name, n, d) for name in ("lie", "strang", "castella4", "bernier6")
+            for n in range(1, 21) for d in (1, 2, 3)]
+    circuits._built.cache_clear()
+    for args in grid:
+        gate_report(*args)
+    info = circuits._built.cache_info()
+    assert info.currsize == info.misses == 1380 <= info.maxsize
+    for args in grid:
+        gate_report(*args)
+    assert circuits._built.cache_info().misses == info.misses
+
+
 def test_emit_csv_round_trip(tmp_path):
     sys4 = ModeSystem(n=4, gamma=0.5)
     report = run_case(get_scheme("lie"), sys4, 0.3, 4)

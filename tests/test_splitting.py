@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from wavesplit import circuits, harness, splitting
+from wavesplit import circuits, harness, splitting, statevector
 from wavesplit.circuits import ModeSystem
 from wavesplit.reference import dense_expm, encode_initial, spectral_pairs
 from wavesplit.schemes import builtin_schemes, get_scheme, validate_scheme, yoshida4
@@ -101,6 +101,19 @@ def test_stage_rejects_mismatched_records():
         Stage("postselect", circuit=circ)
     with pytest.raises(ValueError):
         Stage("shear", 0.1, circ)
+
+
+@pytest.mark.parametrize("scheme", builtin_schemes(), ids=lambda s: s.name)
+def test_build_step_writes_stages_the_checked_constructor_accepts(scheme):
+    # build_step writes its records without __post_init__; each is one the
+    # checked constructor builds equal, around the same circuit
+    for n in range(1, 6):
+        for d in (1, 2, 3):
+            for gamma in (0.0, 0.5):
+                for st in build_step(scheme, ModeSystem(n=n, d=d, gamma=gamma), 0.1).stages:
+                    assert type(st) is Stage
+                    again = Stage(st.kind, st.param, st.circuit)
+                    assert again == st and again.circuit is st.circuit
 
 
 def test_build_step_rejects_bad_dt():
@@ -523,6 +536,24 @@ def test_simulate_runs_on_aligned_states_of_its_own(monkeypatch):
     assert not initial._views and initial._views.work is None
 
 
+def test_a_run_allocates_one_scratch_buffer(monkeypatch):
+    # the half state's first carve, for a CNOT's swap, already takes as
+    # many amplitudes as the half, what its first CRY needs, so no later
+    # gate carves a larger buffer
+    sizes = []
+    inner = statevector._work
+
+    def spy(size):
+        sizes.append(size)
+        return inner(size)
+
+    plan = build_step(get_scheme("bernier6"), ModeSystem(n=7, gamma=0.5), 0.7 / 4)
+    initial = encode_initial(*random_fields(2**7))
+    monkeypatch.setattr(statevector, "_work", spy)
+    simulate(plan, 4, initial)
+    assert sizes == [2 ** (plan.n_qubits - 1)]
+
+
 def test_simulate_leaves_the_callers_views_as_they_were():
     phi, dphi = random_fields(8)
     plan = build_step(get_scheme("strang"), ModeSystem(n=3, gamma=0.6), 0.1)
@@ -563,6 +594,18 @@ def test_ancilla_must_start_in_zero(p1):
         assert np.array_equal(amp, before)
     else:
         assert 0 < simulate(plan, 1, state).success_prob < 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, complex(0, np.nan), np.inf, -np.inf])
+def test_an_ancilla_half_with_nan_or_inf_is_rejected(bad):
+    # nan compares False with the threshold, so it must not pass as small
+    plan = build_step(get_scheme("strang"), ModeSystem(n=2, gamma=0.6), 0.1)
+    amp = StateVector.basis(plan.n_qubits).amp
+    amp[amp.size // 2] = bad
+    before = amp.copy()
+    with pytest.raises(ValueError, match="^ancilla must start in \\|0>$"):
+        simulate(plan, 1, StateVector(plan.n_qubits, amp))
+    assert np.array_equal(amp, before, equal_nan=True)
 
 
 # ------------------------------------------------- one gate per distinct angle

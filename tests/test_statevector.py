@@ -523,7 +523,9 @@ def test_bad_wiring_raises_the_same_message_every_call(call, message):
 
 def test_cached_views_share_one_scratch():
     # needs grow from none (diagonal) to half the pair (swap) to twice the
-    # pair of a controlled and then of a single-qubit rotation; rotations
+    # pair of a controlled and then of a single-qubit rotation; the first
+    # carve already takes the 2**n amplitudes of a copied controlled
+    # rotation, so only the single-qubit one grows the buffer.  Rotations
     # updated in place on the top qubits need one pair, and grow nothing
     s = random_state(4)
     ops = [GateOp("P", 1, angle=0.3), GateOp("CNOT", 0, 2), GateOp("CRY", 3, 1, 0.5),
@@ -535,7 +537,7 @@ def test_cached_views_share_one_scratch():
         apply_op(s, op)
         expected = gateop_matrix(op, 4) @ expected
         seen.append(s._views.work)
-    assert [None if w is None else w.size for w in seen] == [None, 4, 16, 16, 32, 32, 32, 32]
+    assert [None if w is None else w.size for w in seen] == [None, 16, 16, 16, 32, 32, 32, 32]
     assert all(w.ctypes.data % 64 == 0 for w in seen[1:])  # each buffer
     # growing the buffer dropped the entries carved from the smaller one
     assert set(s._views) == {(0, "rot"), (1, 0, "rot"), (3, 2, "rot"), (3, "rot")}
