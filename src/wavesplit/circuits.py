@@ -183,6 +183,11 @@ class ModeSystem:
             raise ValueError("wave speed and domain length must be positive")
         if not 0 <= self.gamma < math.inf:
             raise ValueError("damping rate must be finite and nonnegative")
+        for name in ("c", "L", "gamma"):  # a Python int can pass the float range
+            try:
+                float(getattr(self, name))
+            except OverflowError:
+                raise ValueError(f"{name} is too large for a float") from None
 
     @property
     def zeta(self) -> float:
@@ -367,11 +372,12 @@ def apply_circuit(state: StateVector, circuit: Circuit,
     op, with the circuit's own gates or ``gates`` in their place."""
     if state.n_qubits != circuit.n_qubits:
         raise ValueError("state and circuit disagree on qubit count")
-    for op, gate in zip(circuit.ops, circuit.gates if gates is None else gates):
-        if op.control is None:
-            apply_1q(state, gate, op.target)
+    gates = circuit.gates if gates is None else gates
+    for (_, target, control, _), gate in zip(circuit.ops, gates):
+        if control is None:
+            apply_1q(state, gate, target)
         else:
-            apply_controlled(state, gate, op.control, op.target)
+            apply_controlled(state, gate, control, target)
 
 
 def circuit_to_matrix(circuit: Circuit) -> np.ndarray:

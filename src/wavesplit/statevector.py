@@ -12,18 +12,23 @@ A gate updates a pair view of the amplitudes (target 0 and 1, where the
 control is 1) by one of four branches: diag scales a half in place; swap
 copies the halves past each other, with no arithmetic for X and CNOT;
 rot (every RY and CRY) computes c a - s b and c b + s a from two
-scalars; general takes any other 2x2.  rot and general copy the pair to
+entries; general takes any other 2x2.  rot and general copy the pair to
 scratch, combine it there and copy it back, unless each half of the pair
 is one block (the gate acts on the top qubit or the top two): then they
-update the pair in place.  Views are per state: the first gate on a
-wiring checks its qubits and caches the views on the state, so later
-gates on it do only the arithmetic.  A state's scratch views are all
-carved from one buffer, which starts on a 64-byte boundary and holds at
-least as many amplitudes as the state, what a copied controlled
-rotation takes.  A
-state's fields are fixed at construction, so its cache is built on first
-use, grows with the largest need seen (only a copied one-qubit rotation
-or general gate needs more), and lives as long as the state.
+update the pair in place.  On the half states of the convergence sweeps
+(64 to 256 amplitudes) a call costs more in the interpreter than in
+arithmetic, so the kernel copies by slice assignment (np.copyto's
+dispatch took 1.05 us on a 64-amplitude pair, the assignment 0.59 us),
+takes each gate entry as a read-only 0-d array (a ufunc then skips
+converting a scalar, about 0.23 us a call) and combines rot and general
+on flat (2, m) views.  Views are per state: the first gate on a wiring
+checks its qubits and caches the views on the state, so later gates on
+it do only the arithmetic.  A state's scratch views are all carved from
+one buffer, which starts on a 64-byte boundary and holds at least as
+many amplitudes as the state, what a copied controlled rotation takes.
+A state's fields are fixed at construction, so its cache is built on
+first use, grows with the largest need seen (only a copied one-qubit
+rotation or general gate needs more), and lives as long as the state.
 """
 
 from __future__ import annotations
@@ -52,18 +57,23 @@ class Gate2x2:
         "diag": the (half, entry) pairs whose entry is not 1, and None.
         "swap" (anti-diagonal): the same for the half holding b, which
         becomes m01 b, and the copy of a, which becomes m10 a, and None.
-        "rot" (m00 == m11 and m01 == -m10, so every RY): the scalars
-        c = m00 and s = m10.  "general": (m00, m11) and (m10, -m01) shaped
-        (2, 1, 1, 1) to scale a pair view."""
-        m = np.asarray(self.matrix, dtype=complex)
-        (a, b), (c, d) = m
+        "rot" (m00 == m11 and m01 == -m10, so every RY): c = m00 and
+        s = m10.  "general": (m00, m11) and (m10, -m01) shaped (2, 1) to
+        scale a flat pair.  Every operand is a read-only array (an entry a
+        0-d one), which a ufunc takes without converting a scalar on each
+        call; gates are shared, so no operand can be written."""
+        m = np.array(self.matrix, dtype=complex).reshape(4)
+        m.flags.writeable = False
+        a, b, c, d = (m[i, ...] for i in range(4))
         if b == 0 == c:
             return "diag", tuple((h, k) for h, k in ((0, a), (1, d)) if k != 1), None
         if a == 0 == d:
             return "swap", tuple((h, k) for h, k in ((0, b), (1, c)) if k != 1), None
         if a == d and b == -c:
             return "rot", a, c
-        return "general", m.diagonal().reshape(2, 1, 1, 1), np.array([c, -b]).reshape(2, 1, 1, 1)
+        pq = np.array([a, d, c, -b]).reshape(2, 2, 1)
+        pq.flags.writeable = False
+        return "general", *pq
 
     @classmethod
     def ry(cls, theta: float) -> "Gate2x2":
@@ -168,8 +178,10 @@ def _carve(state: StateVector, key: tuple, target: int, control: int | None,
     halves.  A swap takes the pair's first half, a scratch copy of one
     half, then the pair's halves and the copy as runs.  A rotation or
     general gate takes the scratch ``ab``, its halves, the scratch ``uv``,
-    its halves, then the pair and ``ab`` as runs; where each half of the
-    pair is one block, ``ab`` is the pair itself and there are no runs."""
+    its halves, then the pair and ``ab`` as runs; ``ab`` and ``uv`` are
+    (2, m) with 1-d halves, so each ufunc call walks flat operands.  Where
+    each half of the pair is one block, ``ab`` is the pair itself, flat
+    too, and there are no runs."""
     n, views = state.n_qubits, state._views
     if control is None:
         pair = state.amp.reshape(2 ** (n - 1 - target), 2, 1, 2**target).transpose(1, 0, 2, 3)
@@ -182,6 +194,8 @@ def _carve(state: StateVector, key: tuple, target: int, control: int | None,
         views[key] = tuple(pair)
         return views[key]
     in_place = kind != "swap" and pair.shape[1] == pair.shape[2] == 1
+    if in_place:  # each half is one block, so this reshape is a view
+        pair = pair.reshape(2, -1)
     shape = pair.shape[1:] if kind == "swap" else pair.shape if in_place else (2, *pair.shape)
     size = math.prod(shape)
     if views.work is None or views.work.size < size:
@@ -203,9 +217,9 @@ def _carve(state: StateVector, key: tuple, target: int, control: int | None,
 
     if kind == "swap":
         views[key] = (pair[0], scratch, *runs(pair), runs(scratch))
-    else:
-        ab, uv = scratch
-        views[key] = (ab, *ab, uv, *uv, runs(pair), runs(ab))
+    else:  # the arithmetic takes ab and uv flat, the copies take ab's runs
+        ab, uv = scratch.reshape(2, 2, -1)
+        views[key] = (ab, *ab, uv, *uv, runs(pair), runs(scratch[0]))
     return views[key]
 
 
@@ -222,23 +236,24 @@ def _combine(kind: str, p, q, views: tuple) -> None:
     # up to b; a rotation or general gate copies the pair out once,
     # combines it contiguously and copies it back, unless each half is one
     # block: then it updates the pair in place, since the copies would
-    # cost more than they save.
+    # cost more than they save.  A slice assignment copies the same bytes
+    # as np.copyto, without its Python-level dispatch.
     if kind == "swap":
         _, _, a_runs, b_runs, copy_runs = views
-        np.copyto(copy_runs, a_runs)
-        np.copyto(a_runs, b_runs)
+        copy_runs[...] = a_runs
+        a_runs[...] = b_runs
         for h, k in p:
             half = views[h]
             half *= k
-        np.copyto(b_runs, copy_runs)
+        b_runs[...] = copy_runs
         return
-    # a rotation: c a - s b and c b + s a, with scalars c = p and s = q; a
+    # a rotation: c a - s b and c b + s a, with c = p and s = q; a
     # general gate: m00 a - (-m01) b and m11 b + m10 a, the same bits as
     # m00 a + m01 b since negation is exact
     copy = len(views) == 8
     if copy:
         ab, a, b, uv, u, v, pair_runs, ab_runs = views
-        np.copyto(ab_runs, pair_runs)
+        ab_runs[...] = pair_runs
     else:
         ab, a, b, uv, u, v = views
     np.multiply(ab, q, out=uv)
@@ -246,7 +261,7 @@ def _combine(kind: str, p, q, views: tuple) -> None:
     a -= v
     b += u
     if copy:
-        np.copyto(pair_runs, ab_runs)
+        pair_runs[...] = ab_runs
 
 
 def apply_1q(state: StateVector, gate: Gate2x2, target: int) -> None:

@@ -146,9 +146,9 @@ def expected_views(n_qubits: int, key: tuple) -> tuple[int, int, int]:
     swap takes the pair's first half, a scratch copy of one half, and
     those three halves as runs.  A rotation or general gate whose pair
     halves are each one block (its qubits are the top one or two) takes
-    the pair, its halves, and the scratch uv and its halves; any other
-    takes the scratch ab, its halves, uv, its halves, and the pair and ab
-    as runs."""
+    the pair, its halves, and the scratch uv and its halves, the pair and
+    uv flat (2, m); any other takes the flat scratch ab, its halves, uv,
+    its halves, and the pair and ab as runs."""
     *wiring, kind = key
     if kind == "diag":
         return 2, 0, 0

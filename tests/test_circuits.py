@@ -148,6 +148,16 @@ def test_gamma_validation():
             ModeSystem(n=2, gamma=gamma)
 
 
+@pytest.mark.parametrize("name", ["gamma", "c", "L"])
+def test_mode_system_rejects_ints_past_the_float_range(name):
+    # the comparisons pass 10**400, but a step's angles would overflow
+    with pytest.raises(ValueError, match=f"^{name} is too large for a float$"):
+        ModeSystem(n=2, **{name: 10**400})
+    # a value that fits is kept as given, so no angle bit moves
+    sys = ModeSystem(n=2, **{name: 10**300})
+    assert type(getattr(sys, name)) is int and getattr(sys, name) == 10**300
+
+
 # ---------------------------------------------------------------- matrices
 
 

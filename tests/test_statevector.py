@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import itertools
 import math
 import pickle
 
@@ -310,6 +311,83 @@ def test_kernel_rounding_order(n):
         assert np.array_equal(s.amp, expected), (gate.name, control, target)
 
 
+def kernel_sequence_oracle(amp, gate, control, target):
+    """The kernel's own op sequence, restated on fancy-indexed copies of
+    the halves a and b.  A diagonal scales each half whose entry is not 1.
+    A swap moves b onto a and a onto b, then scales each by its entry
+    (m01, m10) unless that is 1.  A rotation (m00 == m11 and m01 == -m10)
+    takes the scalars p = m00 and q = m10, any other 2x2 p = (m00, m11)
+    and q = (m10, -m01) by half; then, on ab = (a, b) stacked, uv = q ab,
+    ab *= p, a -= v and b += u.  ab stays one (2, m) array as in the
+    kernel: numpy can round an in-place product of one element otherwise
+    than one of two or more, so m = 1 would read other bits."""
+    idx = np.arange(amp.size)
+    on = (idx >> target & 1 == 0) & (True if control is None else idx >> control & 1 == 1)
+    idx0 = idx[on]
+    idx1 = idx0 | 1 << target
+    (m00, m01), (m10, m11) = np.asarray(gate.matrix, dtype=complex)
+    ab = amp[np.stack((idx0, idx1))]
+    a, b = ab
+    if m01 == 0 == m10 or m00 == 0 == m11:
+        if m00 == 0:
+            ab = ab[::-1].copy()
+            a, b = ab
+            m00, m11 = m01, m10
+        for half, k in ((a, m00), (b, m11)):
+            if k != 1:
+                half *= k
+    else:
+        if m00 == m11 and m01 == -m10:
+            p, q = m00, m10
+        else:
+            p, q = np.array([[m00], [m11]]), np.array([[m10], [-m01]])
+        uv = ab * q
+        ab *= p
+        a -= uv[1]
+        b += uv[0]
+    expected = amp.copy()
+    expected[idx0], expected[idx1] = a, b
+    return expected
+
+
+# a real general gate and a diagonal with two entries, beside the gates above
+GENERAL = (Gate2x2(np.array([[1 + 1j, 2], [-0.5j, 3]])),
+           Gate2x2(np.array([[0.5, -0.25], [0.75, -1.0]])))
+DIAG2 = Gate2x2(np.diag([-1.0, 0.5j]))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_kernel_writes_the_sequence_bits_signed_zeros_included(n):
+    # np.array_equal takes -0.0 for +0.0, so compare bytes: every branch
+    # (diag, swap, copied and in-place rotation, general) on every wiring,
+    # on a state whose top half is +0 (as an encoded state's ancilla-|1>
+    # half is)
+    # and on a random state with planted zeros of both signs
+    gen = np.random.default_rng(n)
+    size = 2**n
+    top_zero = gen.standard_normal(size) + 1j * gen.standard_normal(size)
+    top_zero[size // 2:] = 0
+    planted = gen.standard_normal(size) + 1j * gen.standard_normal(size)
+    planted.real[::3], planted.real[1::3] = 0.0, -0.0
+    planted.imag[::5], planted.imag[2::5] = -0.0, 0.0
+    gates = (Gate2x2.p(0.4), DIAG2, Gate2x2.x(), *SWAP_SCALED, Gate2x2.ry(0.7),
+             Gate2x2.ry(-1.1), ROT, ROT_TINY, *GENERAL)
+    assert {g._entries[0] for g in gates} == {"diag", "swap", "rot", "general"}
+    wirings = [(None, t) for t in range(n)]
+    wirings += [(c, t) for c in range(n) for t in range(n) if c != t]
+    for base in (top_zero, planted):
+        s = StateVector(n, base.copy())  # one state, so later gates reuse its views
+        for (control, target), gate in itertools.product(wirings, gates):
+            s.amp[...] = base
+            expected = kernel_sequence_oracle(base, gate, control, target)
+            if control is None:
+                apply_1q(s, gate, target)
+            else:
+                apply_controlled(s, gate, control, target)
+            assert np.array_equal(s.amp.view(np.uint64), expected.view(np.uint64)), \
+                (gate.name, gate.matrix.tolist(), control, target)
+
+
 def test_long_runs_are_copied_in_capped_elements():
     # the top qubits of 20 make runs of up to 2**19 amplitudes; each copy
     # moves them as elements of 2**10, since numpy caps a void at 2**31
@@ -331,14 +409,16 @@ def test_long_runs_are_copied_in_capped_elements():
     for key, entry in s._views.items():
         runs = [v for v in entry if v.dtype.kind == "V"]
         assert len(runs) == expected_views(20, key)[2], key
-        if not runs:  # in place: the first view is the pair, each half one block
-            assert np.shares_memory(entry[0], s.amp) and entry[0].shape[1:3] == (1, 1)
+        if not runs:  # in place: the first view is the flat pair, each half one block
+            assert np.shares_memory(entry[0], s.amp) and entry[0].ndim == 2
+            assert entry[1].flags.c_contiguous and entry[2].flags.c_contiguous
             continue
-        # a swap's runs cover one half (its scratch), a rotation's the pair (ab)
+        # a swap's runs cover one half (its scratch), a rotation's the pair
+        # (ab); a run is 2**min(target, control) amplitudes
         block = entry[1] if key[-1] == "swap" else entry[0]
         assert all(r.shape == runs[0].shape for r in runs)
         assert runs[0].dtype.itemsize * runs[0].size == 16 * block.size
-        assert runs[0].dtype.itemsize == 16 * min(block.shape[-1], 2**10)
+        assert runs[0].dtype.itemsize == 16 * min(2 ** min(key[:-1]), 2**10)
 
 
 def test_rotations_and_swaps_carry_no_matrix():
@@ -356,7 +436,10 @@ def test_rotations_and_swaps_carry_no_matrix():
     assert ROT._entries[0] == ROT_TINY._entries[0] == "rot"
     assert [g._entries[1] for g in SWAP_SCALED] == [((1, 2.5 - 1j),), ((0, -0.5j),)]
     kind, p, q = Gate2x2(np.array([[1 + 1j, 2], [-0.5j, 3]]))._entries
-    assert kind == "general" and p.shape == q.shape == (2, 1, 1, 1)
+    assert kind == "general" and p.shape == q.shape == (2, 1)
+    # gates are shared, so no operand the kernel takes can be written
+    operands = [p, q, *Gate2x2.ry(0.3)._entries[1:], SWAP_SCALED[0]._entries[1][0][1]]
+    assert not any(x.flags.writeable for x in operands)
 
 
 @pytest.mark.parametrize("qubit,outcome", [(0, 0), (2, 1), (4, 0), (4, 1)])
