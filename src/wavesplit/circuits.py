@@ -123,7 +123,8 @@ class Circuit:
     def gates(self) -> tuple[Gate2x2, ...]:
         """One gate matrix per op, looked up on first use: plans that are
         only counted, never applied, do not pay for them."""
-        return tuple(_gate(_KINDS[kind][0], None if angle is None else float(angle).hex())
+        return tuple(_gate(_KINDS[kind][0], angle,
+                           None if angle is None else math.copysign(1.0, angle))
                      for kind, _, _, angle in self.ops)
 
     @cached_property
@@ -272,7 +273,7 @@ def wave_evolution_circuit(sys: ModeSystem, tau: float, dim: int = 0) -> Circuit
         raise ValueError("tau must be finite")
     if not 0 <= dim < sys.d:
         raise ValueError(f"dimension {dim} out of range for d={sys.d}")
-    return _built("wave", sys.n, sys.d, float(tau).hex(), dim)
+    return _built("wave", sys.n, sys.d, tau, math.copysign(1.0, tau), dim)
 
 
 def damping_real_circuit(gamma_dt: float, sys: ModeSystem) -> Circuit:
@@ -283,7 +284,7 @@ def damping_real_circuit(gamma_dt: float, sys: ModeSystem) -> Circuit:
     """
     if not math.isfinite(gamma_dt) or gamma_dt < 0:
         raise ValueError("dissipative stage needs a nonnegative finite argument")
-    return _built("damp_real", sys.n, sys.d, float(gamma_dt).hex())
+    return _built("damp_real", sys.n, sys.d, gamma_dt, math.copysign(1.0, gamma_dt))
 
 
 def damping_phase_gate(gamma_im_dt: float, sys: ModeSystem) -> Circuit:
@@ -294,16 +295,18 @@ def damping_phase_gate(gamma_im_dt: float, sys: ModeSystem) -> Circuit:
     """
     if not math.isfinite(gamma_im_dt):
         raise ValueError("phase stage needs a finite argument")
-    return _built("damp_phase", sys.n, sys.d, float(gamma_im_dt).hex())
+    return _built("damp_phase", sys.n, sys.d, gamma_im_dt, math.copysign(1.0, gamma_im_dt))
 
 
 @lru_cache(maxsize=2048)
-def _built(builder: str, n: int, d: int, arg_bits: str, dim: int = 0) -> Circuit:
+def _built(builder: str, n: int, d: int, x: float, sign: float, dim: int = 0) -> Circuit:
     """The one Circuit of a builder and its checked arguments, shared by
     every caller: symmetric schemes repeat their coefficients, so a step
-    plan holds each distinct circuit several times.  The key is the exact
-    bits of the argument (``float.hex``), so that 0.0 and -0.0 stay apart,
-    and the ints the ops depend on; gamma, c and L do not enter them.  The
+    plan holds each distinct circuit several times.  The key is the finite
+    argument and its ``sign`` (``math.copysign(1.0, x)``), which fix the
+    bits of ``float(x)``: equal finite floats differ only at 0.0 and -0.0,
+    and an int or numpy float keys as the float it equals.  The ints the
+    ops depend on complete it; gamma, c and L do not enter them.  The
     bound holds the 1380 distinct circuits of the 240 gate budgets for 4
     schemes x n = 1..20 x d = 1..3, so a second pass over them builds none
     (at 128, a pass that visits each budget 4 times missed about 6800
@@ -317,7 +320,7 @@ def _built(builder: str, n: int, d: int, arg_bits: str, dim: int = 0) -> Circuit
     closing CRY holds the largest multiplier, so every angle is finite
     when it is.  The ops wait for their first read: on a pass over 240
     gate budgets, writing them took about a third of the time."""
-    x = float.fromhex(arg_bits)
+    x = float(x)
     if builder == "wave":
         # the closing multiplier -2**n, or -inf past n = 1023 as the
         # doubling of the ladder reaches it: 2.0**n itself raises there
@@ -356,12 +359,13 @@ def _rule_ops(builder: str, n: int, d: int, dim: int, x: float,
 
 
 @lru_cache(maxsize=1024)
-def _gate(family: str, angle_bits: str | None) -> Gate2x2:
-    """The one Gate2x2 of a matrix family and an angle, given by its exact
-    bits (``float.hex``) so that 0.0 and -0.0 stay apart.  A pass over the
-    benchmark's largest plans meets a few hundred distinct gates."""
+def _gate(family: str, angle: float | None, sign: float | None) -> Gate2x2:
+    """The one Gate2x2 of a matrix family and a finite angle, keyed as
+    ``_built`` keys its argument: with the angle's ``sign``, so that 0.0
+    and -0.0 stay apart.  A pass over the benchmark's largest plans meets
+    a few hundred distinct gates."""
     make = getattr(Gate2x2, family)
-    gate = make() if angle_bits is None else make(float.fromhex(angle_bits))
+    gate = make() if angle is None else make(float(angle))
     gate.matrix.flags.writeable = False  # every circuit in the process shares it
     return gate
 

@@ -127,8 +127,10 @@ def mode_propagator(omega: float, gamma: float, t: float) -> np.ndarray:
 
 def dense_expm(m, t: float = 1.0) -> np.ndarray:
     """exp(M t) by scaling and squaring with a truncated Taylor core.
-    Raises ValueError past 20 squarings (|M t|_1 > 2**18), where rounding
-    would swamp the result, and where finite input overflows."""
+    Past 20 squarings (|M t|_1 > 2**18), where rounding would swamp the
+    result, only a finite exp that needs none returns: I + M t when
+    (M t) @ (M t) is exactly zero, diag(exp(m_ii t)) when M is diagonal.
+    Other input there raises ValueError, as does overflowing input."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("need a square matrix")
@@ -147,6 +149,9 @@ def dense_expm(m, t: float = 1.0) -> np.ndarray:
             squarings = 0 if nrm <= 0.25 else int(math.ceil(
                 math.log2(scaled) if scaled < math.inf else math.log2(nrm) + 2))
             if squarings > _EXPM_MAX_SQUARINGS:
+                exact = _unscaled_expm(a)
+                if exact is not None:
+                    return exact
                 raise ValueError(f"exp(M t) needs {squarings} squarings, past the "
                                  f"{_EXPM_MAX_SQUARINGS} that keep it accurate")
             a = a / (2.0**squarings)
@@ -162,6 +167,19 @@ def dense_expm(m, t: float = 1.0) -> np.ndarray:
         except (FloatingPointError, OverflowError):
             raise ValueError("exp(M t) overflows") from None
     return out
+
+
+def _unscaled_expm(a: np.ndarray) -> np.ndarray | None:
+    """exp(a) where it needs no scaling: I + a when a @ a is exactly zero,
+    diag(exp(a_ii)) when a is diagonal; None otherwise or if not finite."""
+    with np.errstate(all="ignore"):
+        if not (a @ a).any():
+            out = np.eye(len(a)) + a
+        elif not (a - np.diag(np.diagonal(a))).any():
+            out = np.diag(np.exp(np.diagonal(a)))
+        else:
+            return None
+    return out if np.isfinite(out).all() else None
 
 
 def hermitian_split(m) -> tuple[np.ndarray, np.ndarray]:

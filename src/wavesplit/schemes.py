@@ -16,6 +16,7 @@ digit; the lower-order sets are exact double-precision fractions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 _SUM_TOL = 1e-9
 _SYM_TOL = 1e-12
@@ -23,12 +24,28 @@ _SYM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SplittingScheme:
-    """Named coefficient set of a declared convergence order."""
+    """Named coefficient set of a declared convergence order.  The checks
+    ``build_step`` makes are cached per object (``step_coefficients``)."""
 
     name: str
     order: int
     a: tuple[complex, ...]
     b: tuple[float, ...]
+
+    @cached_property
+    def step_coefficients(self) -> tuple[tuple[complex, ...], float, float]:
+        """``a`` as complex numbers, max |a| and max |b|, for ``build_step``,
+        once the stage counts and every Re(a) are checked.  A failed check
+        raises ValueError and caches nothing, so a later read raises again."""
+        a, b = self.a, self.b
+        if not (len(a) == len(b) + 1 or len(a) == len(b) == 1):
+            raise ValueError(f"scheme {self.name!r} has unsupported stage counts")
+        # the ancilla contraction exp(-g) cannot amplify, so every Re(a) must be >= 0
+        ca = tuple(map(complex, a))
+        for i, ai in enumerate(ca):
+            if ai.real < 0:
+                raise ValueError(f"dissipative coefficient a[{i}] = {a[i]} has a negative real part")
+        return ca, max(map(abs, ca)), max(map(abs, b))
 
 
 # First half of the sixth-order coefficients; the second half mirrors them

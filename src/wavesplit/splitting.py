@@ -16,11 +16,11 @@ diagonal.  Phase stages with |Im(a)| < 1e-15 are omitted.
 
 The circuit builders return one shared Circuit per distinct argument, so
 stages of equal kind and param (and, for waves, dimension) hold the same
-object; ``build_step`` still calls a builder once per circuit stage.  It
-writes its stages as trusted records, without the checks of
-``Stage(...)``: each kind is valid and each circuit present by
-construction.  It builds no gate matrix: a circuit looks its gates up
-on its first run, from one process-wide Gate2x2 per (matrix family,
+object; ``build_step`` still calls a builder once per circuit stage.  A
+``Stage`` is a checked tuple, like a ``GateOp``; ``build_step``, whose
+kinds and circuits are valid by construction, writes it unchecked with
+``tuple.__new__``.  It builds no gate matrix: a circuit looks its gates
+up on its first run, from one process-wide Gate2x2 per (matrix family,
 angle), and a shared circuit does so once.
 
 ``simulate`` runs the stage tuple by one rule: while the ancilla-|1>
@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,26 +55,24 @@ _HERM_TOL = 1e-12
 STAGE_KINDS = ("wave", "damp_real", "damp_phase", "postselect")
 
 
-@dataclass(frozen=True)
-class Stage:
+class _StageFields(NamedTuple):
     kind: str  # one of STAGE_KINDS
     param: float | None = None
     circuit: Circuit | None = None
 
-    def __post_init__(self):
-        if self.kind not in STAGE_KINDS:
-            raise ValueError(f"unknown stage kind {self.kind!r}")
-        if (self.kind == "postselect") != (self.circuit is None):
-            raise ValueError("every stage but a postselection carries a circuit")
 
-    @classmethod
-    def _trusted(cls, kind: str, param: float, circuit: Circuit) -> Stage:
-        """A Stage whose kind is known valid and whose circuit is present:
-        ``__post_init__`` is not run."""
-        st = object.__new__(cls)
-        fields = st.__dict__
-        fields["kind"], fields["param"], fields["circuit"] = kind, param, circuit
-        return st
+class Stage(_StageFields):
+    """An immutable (kind, param, circuit) tuple; the checks live in this
+    subclass, since ``typing.NamedTuple`` refuses a ``__new__`` of its own."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, param: float | None = None, circuit: Circuit | None = None):
+        if kind not in STAGE_KINDS:
+            raise ValueError(f"unknown stage kind {kind!r}")
+        if (kind == "postselect") != (circuit is None):
+            raise ValueError("every stage but a postselection carries a circuit")
+        return super().__new__(cls, kind, param, circuit)
 
 
 POSTSELECT = Stage("postselect")
@@ -92,7 +91,8 @@ class SplitStepPlan:
 
     @property
     def cnot_per_step(self) -> int:
-        return sum(st.circuit.cnots for st in self.stages if st.circuit is not None)
+        # fastest measured: a list, and no unpacking of a tuple-subclass stage
+        return sum([c.cnots for st in self.stages if (c := st.circuit) is not None])
 
     def stage_counts(self) -> dict[str, int]:
         counts = dict.fromkeys(STAGE_KINDS, 0)
@@ -126,35 +126,31 @@ def build_step(scheme: SplittingScheme, sys: ModeSystem, dt: float) -> SplitStep
     """Lay out one splitting step of size dt as an ordered stage tuple."""
     if not 0 < dt < math.inf:
         raise ValueError("step size must be positive and finite")
-    a, b = scheme.a, scheme.b
-    if not (len(a) == len(b) + 1 or len(a) == len(b) == 1):
-        raise ValueError(f"scheme {scheme.name!r} has unsupported stage counts")
-    # the ancilla contraction exp(-g) cannot amplify, so every Re(a) must be >= 0
-    for i, ai in enumerate(a):
-        if complex(ai).real < 0:
-            raise ValueError(f"dissipative coefficient a[{i}] = {ai} has a negative real part")
-    gamma, zeta, stage = sys.gamma, sys.zeta, Stage._trusted
+    a, max_a, max_b = scheme.step_coefficients
+    b, gamma, zeta = scheme.b, sys.gamma, sys.zeta
     # the largest dissipative argument and wave angle the circuits will take
-    if not math.isfinite(gamma * max(abs(complex(ai)) for ai in a) * dt):
+    if not math.isfinite(gamma * max_a * dt):
         raise ValueError(f"damping rate {gamma:g} times step size {dt:g} overflows")
     # 2.0**n itself overflows from n = 1024 on
-    if sys.n >= 1024 or not math.isfinite(zeta * max(abs(bi) for bi in b) * dt * 2.0**sys.n):
+    if sys.n >= 1024 or not math.isfinite(zeta * max_b * dt * 2.0**sys.n):
         raise ValueError(f"step size {dt:g} overflows the wave-stage angles")
     stages: list[Stage] = []
+    new = tuple.__new__
 
     def dissipative(ai: complex) -> None:
         g_re, g_im = gamma * ai.real * dt, gamma * ai.imag * dt
-        stages.append(stage("damp_real", g_re, damping_real_circuit(g_re, sys)))
+        stages.append(new(Stage, ("damp_real", g_re, damping_real_circuit(g_re, sys))))
         if abs(ai.imag) >= _IM_OMIT_TOL:
-            stages.append(stage("damp_phase", g_im, damping_phase_gate(g_im, sys)))
+            stages.append(new(Stage, ("damp_phase", g_im, damping_phase_gate(g_im, sys))))
         stages.append(POSTSELECT)
 
     for i, bi in enumerate(b):
-        dissipative(complex(a[i]))
+        dissipative(a[i])
         for dim in range(sys.d):
-            stages.append(stage("wave", bi * dt, wave_evolution_circuit(sys, zeta * bi * dt, dim)))
+            circuit = wave_evolution_circuit(sys, zeta * bi * dt, dim)
+            stages.append(new(Stage, ("wave", bi * dt, circuit)))
     if len(a) == len(b) + 1:
-        dissipative(complex(a[-1]))
+        dissipative(a[-1])
     return SplitStepPlan(scheme, sys, dt, tuple(stages))
 
 

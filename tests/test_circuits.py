@@ -212,6 +212,20 @@ def test_builders_key_on_the_exact_bits_of_their_argument(first):
     assert wave_evolution_circuit(sys_, first, 1) is not wave_evolution_circuit(sys_, -first, 1)
 
 
+def test_builders_share_one_circuit_per_float_value():
+    # a numpy float and an int key as the float they equal, and the circuit
+    # holds float angles whichever came first
+    sys_ = ModeSystem(n=3, d=2)
+    for build in (lambda x: wave_evolution_circuit(sys_, x, 1),
+                  lambda x: damping_real_circuit(x, sys_),
+                  lambda x: damping_phase_gate(x, sys_)):
+        for first, *rest in ((np.float64(0.3), 0.3), (0.3, np.float64(0.3)), (1, 1.0)):
+            circuits._built.cache_clear()
+            circ = build(first)
+            assert all(build(x) is circ for x in rest)
+            assert all(type(op.angle) is float for op in circ.ops if op.angle is not None)
+
+
 def test_builder_rejections_are_never_cached():
     sys_ = ModeSystem(n=2, d=2)
     wave_evolution_circuit(ModeSystem(n=2, d=3), 0.1, 2)  # valid one dimension up
@@ -524,6 +538,10 @@ def test_gates_are_shared_by_family_and_exact_angle():
     # one matrix per family and angle across circuits; -0.0 and P stay apart
     assert a[0] is a[1] is b[0] and a[3] is a[4]
     assert a[2] is not a[0] and b[1] is not b[0]
+    # a numpy float or an int angle shares the gate of the float it equals
+    c = Circuit(1, (GateOp("RY", 0, angle=np.float64(0.3)), GateOp("RY", 0, angle=0.3),
+                    GateOp("P", 0, angle=1), GateOp("P", 0, angle=1.0))).gates
+    assert c[0] is c[1] and c[2] is c[3] and c[0] is not c[2]
     with pytest.raises(ValueError):
         a[0].matrix[0, 0] = 2.0
 

@@ -152,13 +152,16 @@ def test_dense_expm_names_an_overflow_of_finite_input(call):
 
 @pytest.mark.parametrize("call,squarings", [
     # each of these came back wrong, or as a false overflow, with no cap
-    pytest.param(lambda: dense_expm([[-1e20, 0], [0, -1]]), 69, id="decay-1e20"),
     pytest.param(lambda: dense_expm([[0, 1e20], [-1e20, 0]]), 69, id="rotation-1e20"),
     pytest.param(lambda: dense_expm([[0, 1e10], [-1e10, 0]]), 36, id="rotation-1e10"),
     pytest.param(lambda: dense_expm([[0, 1e300], [-1e300, 0]]), 999, id="rotation-1e300"),
+    # diagonal, but exp(1e300) overflows
     pytest.param(lambda: dense_expm([[1e300, 0], [0, 1]]), 999, id="squarings-1e300"),
+    # strictly upper, but M @ M is not zero
+    pytest.param(lambda: dense_expm([[0, 1e300, 0], [0, 0, 1e300], [0, 0, 0]]), 999,
+                 id="cube-nilpotent"),
     # 4 |M t|_1 = 4e308 is no float, but the count is still named
-    pytest.param(lambda: dense_expm([[0, 1e308], [0, 0]]), 1026, id="scale"),
+    pytest.param(lambda: dense_expm([[0, 1e308], [1e-300, 0]]), 1026, id="scale-rotation"),
     pytest.param(lambda: generic_split_matrix(get_scheme("strang"), 1e200 * np.eye(2),
                                               np.eye(2), 1.0, 1), 666, id="split"),
 ])
@@ -167,6 +170,21 @@ def test_dense_expm_refuses_past_twenty_squarings(call, squarings):
         call()
     assert str(err.value) == (f"exp(M t) needs {squarings} squarings, "
                               "past the 20 that keep it accurate")
+
+
+@pytest.mark.parametrize("m,t,want", [
+    # M t @ M t == 0: the series stops after I + M t
+    pytest.param([[0, 1e307], [0, 0]], 1.0, [[1, 1e307], [0, 1]], id="scale-1e307"),
+    pytest.param([[0, 1e308], [0, 0]], 1.0, [[1, 1e308], [0, 1]], id="scale"),
+    pytest.param([[0, 2e5, -3e305j], [0, 0, 0], [0, 0, 0]], 2.0,
+                 [[1, 4e5, -6e305j], [0, 1, 0], [0, 0, 1]], id="upper-3x3"),
+    # exactly diagonal: the exponential of each entry, however large
+    pytest.param([[-1e20, 0], [0, -1]], 1.0, np.diag([0.0, math.exp(-1)]), id="decay-1e20"),
+    pytest.param(np.diag([-1e6, 3e5j, 2.0]), 0.5,
+                 np.diag([0.0, np.exp(1.5e5j), math.exp(1.0)]), id="diagonal-1e6"),
+])
+def test_dense_expm_returns_exact_results_past_twenty_squarings(m, t, want):
+    assert np.array_equal(dense_expm(m, t), np.asarray(want, dtype=complex))
 
 
 def test_dense_expm_keeps_its_accuracy_up_to_twenty_squarings():

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from wavesplit.circuits import ModeSystem
 from wavesplit.harness import fit_order
 from wavesplit.schemes import (
     BERNIER6,
@@ -18,6 +19,7 @@ from wavesplit.schemes import (
     validate_scheme,
     yoshida4,
 )
+from wavesplit.splitting import build_step
 
 from helpers import random_hermitian
 
@@ -203,3 +205,30 @@ def test_get_scheme_unknown_name():
 def test_schemes_are_immutable():
     with pytest.raises(dataclasses.FrozenInstanceError):
         BERNIER6.order = 2
+
+
+def test_a_rejected_scheme_is_rejected_on_every_build():
+    # the checks are cached per scheme object, and a failed check caches
+    # nothing; a copy keeps BERNIER6's name, so nothing may key on it
+    a = list(BERNIER6.a)
+    a[5] = -0.25 + 0.1j
+    bad, sys_ = dataclasses.replace(BERNIER6, a=tuple(a)), ModeSystem(n=3, gamma=0.5)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as err:
+            build_step(bad, sys_, 0.1)
+        messages.append(str(err.value))
+    assert messages == ["dissipative coefficient a[5] = (-0.25+0.1j) has a negative real part"] * 2
+    short = dataclasses.replace(BERNIER6, a=BERNIER6.a[:-2])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^scheme 'bernier6' has unsupported stage counts$"):
+            build_step(short, sys_, 0.1)
+    # the original still builds, and an equal copy builds an equal plan
+    plan = build_step(BERNIER6, sys_, 0.1)
+    twin = dataclasses.replace(BERNIER6)
+    assert twin == BERNIER6 and twin is not BERNIER6
+    again = build_step(twin, sys_, 0.1)
+    assert again.stages == plan.stages and again.cnot_per_step == plan.cnot_per_step
+    # the step-size check still comes first
+    with pytest.raises(ValueError, match="^step size must be positive and finite$"):
+        build_step(bad, sys_, 0.0)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 from collections import Counter
 from contextlib import nullcontext
 
@@ -105,8 +106,8 @@ def test_stage_rejects_mismatched_records():
 
 @pytest.mark.parametrize("scheme", builtin_schemes(), ids=lambda s: s.name)
 def test_build_step_writes_stages_the_checked_constructor_accepts(scheme):
-    # build_step writes its records without __post_init__; each is one the
-    # checked constructor builds equal, around the same circuit
+    # build_step writes its records with tuple.__new__, unchecked; each is
+    # one the checked constructor builds equal, around the same circuit
     for n in range(1, 6):
         for d in (1, 2, 3):
             for gamma in (0.0, 0.5):
@@ -114,6 +115,22 @@ def test_build_step_writes_stages_the_checked_constructor_accepts(scheme):
                     assert type(st) is Stage
                     again = Stage(st.kind, st.param, st.circuit)
                     assert again == st and again.circuit is st.circuit
+
+
+def test_stages_are_immutable_tuples_that_survive_a_pickle():
+    plan = build_step(get_scheme("castella4"), ModeSystem(n=2, d=2, gamma=0.5), 0.1)
+    for st in plan.stages:
+        for name in ("kind", "param", "circuit"):
+            with pytest.raises(AttributeError):
+                setattr(st, name, None)
+        with pytest.raises(AttributeError):
+            st.extra = 1  # no instance dict either
+        back = pickle.loads(pickle.dumps(st))
+        assert type(back) is Stage and back == st and back == tuple(st)
+        assert back.circuit is None or back.circuit.cnots == st.circuit.cnots
+    # an unpickled plan counts as the original
+    again = pickle.loads(pickle.dumps(plan))
+    assert again.cnot_per_step == plan.cnot_per_step and again.stages == plan.stages
 
 
 def test_build_step_rejects_bad_dt():
