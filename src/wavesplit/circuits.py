@@ -8,12 +8,11 @@ decomposition) and plain rotations worth zero.
 Every circuit uses one register layout (``ModeSystem``): the n*d data
 qubits first, dimension by dimension, then the selector qubit, then the
 damping ancilla on top.  The three stage builders below return one
-shared, frozen circuit per distinct argument, with its qubit count and
-CNOT total fixed and its largest angle checked to be finite.  Its ops
-are written from the construction rule when they are first read, so a
-plan that is only counted never writes them: the selector sits above
-every data qubit and the ancilla above the selector, so every target
-and control is in range and distinct.
+shared, frozen circuit per distinct argument, its ops written from the
+construction rule with its qubit count and CNOT total, and its largest
+angle checked to be finite: the selector sits above every data qubit
+and the ancilla above the selector, so every target and control is in
+range and distinct.
 
 The wave evolution circuit realizes, on one dimension's data register
 plus the shared selector qubit, the block-diagonal rotation
@@ -65,9 +64,7 @@ class GateOp(NamedTuple):
 @dataclass(frozen=True)
 class Circuit:
     """Ops applied in order to ``n_qubits`` qubits.  One pass checks each
-    op's kind, qubits and angle and sums ``cnots``, the total CNOT cost.
-    A builder's circuit holds its construction rule in place of ``ops``
-    and writes them on first read."""
+    op's kind, qubits and angle and sums ``cnots``, the total CNOT cost."""
 
     n_qubits: int
     ops: tuple[GateOp, ...]
@@ -101,23 +98,12 @@ class Circuit:
         object.__setattr__(self, "cnots", cnots)
 
     @classmethod
-    def _trusted(cls, n_qubits: int, cnots: int, **ops_or_rule) -> Circuit:
-        """A Circuit of ``ops``, or of the ``_rule`` that writes them, known
-        to fit ``n_qubits`` with finite angles and to cost ``cnots``: the
-        per-op checks are not run."""
+    def _trusted(cls, n_qubits: int, cnots: int, ops: tuple[GateOp, ...]) -> Circuit:
+        """A Circuit of ``ops`` known to fit ``n_qubits`` with finite angles
+        and to cost ``cnots``: the per-op checks are not run."""
         circ = object.__new__(cls)
-        circ.__dict__.update(n_qubits=n_qubits, cnots=cnots, **ops_or_rule)
+        circ.__dict__.update(n_qubits=n_qubits, cnots=cnots, ops=ops)
         return circ
-
-    def __getattr__(self, name):
-        # reached only for an attribute that is not set: the ops of a
-        # builder's circuit before their first read
-        rule = self.__dict__.get("_rule") if name == "ops" else None
-        if rule is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        ops = self.__dict__["ops"] = _rule_ops(*rule)
-        del self.__dict__["_rule"]
-        return ops
 
     @cached_property
     def gates(self) -> tuple[Gate2x2, ...]:
@@ -135,7 +121,9 @@ class Circuit:
         top = self.n_qubits - 1
         if top < 0 or any(top in (op.target, op.control) for op in self.ops):
             return None
-        return Circuit._trusted(top, self.cnots, ops=self.ops, gates=self.gates)
+        lower = Circuit._trusted(top, self.cnots, self.ops)
+        lower.__dict__["gates"] = self.gates
+        return lower
 
     @cached_property
     def kept(self) -> tuple[Gate2x2, ...] | None:
@@ -310,44 +298,29 @@ def _built(builder: str, n: int, d: int, x: float, sign: float, dim: int = 0) ->
     bound holds the 1380 distinct circuits of the 240 gate budgets for 4
     schemes x n = 1..20 x d = 1..3, so a second pass over them builds none
     (at 128, a pass that visits each budget 4 times missed about 6800
-    times).  Under tracemalloc an entry whose ops are unread takes about
-    630 B, 0.87 MB for the 1380; a run wave circuit adds its ops, gates
-    tuple and ``lower`` copy, about 1 KiB at n = 5 and 2.5 KiB at n = 20,
+    times).  Under tracemalloc the 1380 circuits with their ops take about
+    2.4 MB; a run wave circuit adds its gates tuple and ``lower`` copy,
     beside the gate matrices it shares through ``_gate``.
 
-    A miss counts the CNOTs from the per-kind costs and computes the last
-    op's angle.  A wave circuit checks it: rounding is monotone and the
-    closing CRY holds the largest multiplier, so every angle is finite
-    when it is.  The ops wait for their first read: on a pass over 240
-    gate budgets, writing them took about a third of the time."""
-    x = float(x)
-    if builder == "wave":
-        # the closing multiplier -2**n, or -inf past n = 1023 as the
-        # doubling of the ladder reaches it: 2.0**n itself raises there
-        last = (-math.ldexp(1.0, n) if n < 1024 else -math.inf) * x
-        if not math.isfinite(last):
-            raise ValueError("CRY needs a finite angle")
-        cnots = (n + 1) * _KINDS["CRY"][1] + 2 * _KINDS["CNOT"][1]
-    elif builder == "damp_real":  # finite for every x >= 0
-        last, cnots = 2.0 * math.acos(math.exp(-x)), _KINDS["CRY"][1]
-    else:
-        last, cnots = -x, _KINDS["P"][1]
-    return Circuit._trusted(n * d + 2, cnots, _rule=(builder, n, d, dim, x, last))
-
-
-def _rule_ops(builder: str, n: int, d: int, dim: int, x: float,
-              last: float) -> tuple[GateOp, ...]:
-    """The ops of a builder's circuit from its rule: the ladder CRY on
-    data qubit r takes -2**r * x, doubling the multiplier per op, and the
-    closing CRY, the damping CRY or the phase takes ``last``.  The ops go
-    into a list, with no tuple of angles between: one such tuple per
-    circuit, built from a generator, raised the peak RSS of a pass over
-    240 gate budgets from 31.9 to 36.6 MB."""
-    sel, new = n * d, tuple.__new__
-    if builder == "damp_real":
-        return (new(GateOp, ("CRY", sel + 1, sel, last)),)
+    A miss counts the CNOTs from the per-kind costs and writes the ops
+    from the rule, with no per-op checks: the ladder CRY on data qubit r
+    takes -2**r * x, doubling the multiplier per op.  A wave circuit
+    first checks its closing angle: rounding is monotone and the closing
+    CRY holds the largest multiplier, so every angle is finite when it
+    is.  The ops go into a list, with no tuple of angles between: one
+    such tuple per circuit, built from a generator, raised the peak RSS
+    of a pass over 240 gate budgets from 31.9 to 36.6 MB."""
+    x, sel, new = float(x), n * d, tuple.__new__
+    if builder == "damp_real":  # finite for every x >= 0
+        return Circuit._trusted(sel + 2, _KINDS["CRY"][1], (
+            new(GateOp, ("CRY", sel + 1, sel, 2.0 * math.acos(math.exp(-x)))),))
     if builder == "damp_phase":
-        return (new(GateOp, ("P", sel, None, last)),)
+        return Circuit._trusted(sel + 2, _KINDS["P"][1], (new(GateOp, ("P", sel, None, -x)),))
+    # the closing multiplier -2**n, or -inf past n = 1023 as the doubling
+    # of the ladder reaches it: 2.0**n itself raises there
+    last = (-math.ldexp(1.0, n) if n < 1024 else -math.inf) * x
+    if not math.isfinite(last):
+        raise ValueError("CRY needs a finite angle")
     top, m = (dim + 1) * n - 1, -1.0
     flip = new(GateOp, ("CNOT", sel, top, None))
     ops = [flip]
@@ -355,7 +328,8 @@ def _rule_ops(builder: str, n: int, d: int, dim: int, x: float,
         ops.append(new(GateOp, ("CRY", sel, q, m * x)))
         m *= 2.0
     ops += flip, new(GateOp, ("CRY", sel, top, last))
-    return tuple(ops)
+    return Circuit._trusted(sel + 2, (n + 1) * _KINDS["CRY"][1] + 2 * _KINDS["CNOT"][1],
+                            tuple(ops))
 
 
 @lru_cache(maxsize=1024)

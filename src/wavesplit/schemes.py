@@ -38,7 +38,7 @@ class SplittingScheme:
         once the stage counts and every Re(a) are checked.  A failed check
         raises ValueError and caches nothing, so a later read raises again."""
         a, b = self.a, self.b
-        if not (len(a) == len(b) + 1 or len(a) == len(b) == 1):
+        if not b or not (len(a) == len(b) + 1 or len(a) == len(b) == 1):
             raise ValueError(f"scheme {self.name!r} has unsupported stage counts")
         # the ancilla contraction exp(-g) cannot amplify, so every Re(a) must be >= 0
         ca = tuple(map(complex, a))

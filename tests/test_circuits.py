@@ -320,15 +320,15 @@ def rule_args(scheme, sys_: ModeSystem, dt: float) -> list[tuple[str, float, int
 
 @pytest.mark.parametrize("name", ["lie", "strang", "castella4", "bernier6"])
 @pytest.mark.parametrize("n,d", [(1, 1), (7, 1), (4, 2), (15, 3)])
-def test_a_counted_plan_writes_no_ops_until_they_are_read(name, n, d):
-    circuits._built.cache_clear()  # a run elsewhere may have read these circuits
+def test_a_counted_plan_holds_the_ops_of_the_rule_from_the_build(name, n, d):
+    circuits._built.cache_clear()  # every circuit of the plan is built here
     scheme, sys_ = get_scheme(name), ModeSystem(n=n, d=d, gamma=0.5)
     plan = build_step(scheme, sys_, 0.1)
     cnots = plan.cnot_per_step
     assert cnots == formula_cnots(scheme, n, d)
     circs = [st.circuit for st in plan.stages if st.circuit is not None]
-    assert not any("ops" in vars(circ) for circ in circs)
-    # read now, every op follows the rule bit for bit and no total moves
+    assert all("ops" in vars(circ) for circ in circs)
+    # every op follows the rule bit for bit and no total moves
     args = rule_args(scheme, sys_, 0.1)
     assert len(args) == len(circs)
     for circ, (builder, x, dim) in zip(circs, args):
@@ -343,17 +343,17 @@ def test_a_counted_plan_writes_no_ops_until_they_are_read(name, n, d):
     lambda c: c == Circuit(c.n_qubits, ()), repr, hash, circuit_dump,
     lambda c: apply_circuit(StateVector.basis(c.n_qubits), c),
 ], ids=["ops", "gates", "lower", "kept", "eq", "repr", "hash", "dump", "apply"])
-def test_every_reader_of_a_builders_ops_writes_them_once(read):
+def test_a_builders_circuit_holds_the_fields_of_a_hand_built_one(read):
     sys_ = ModeSystem(n=3, d=2)
     for build in (lambda: wave_evolution_circuit(sys_, 0.3, 1),
                   lambda: damping_real_circuit(0.3, sys_),
                   lambda: damping_phase_gate(0.3, sys_)):
         circuits._built.cache_clear()
         circ = build()
-        assert set(vars(circ)) == {"n_qubits", "cnots", "_rule"}
-        read(circ)
+        assert set(vars(circ)) == {"n_qubits", "cnots", "ops"}
         ops = vars(circ)["ops"]
-        assert "_rule" not in vars(circ) and circ.ops is ops
+        read(circ)
+        assert vars(circ)["ops"] is ops and circ.ops is ops
         assert circ == Circuit(circ.n_qubits, ops) and build() is circ
         with pytest.raises(AttributeError, match="has no attribute 'opz'"):
             circ.opz

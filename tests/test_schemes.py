@@ -232,3 +232,14 @@ def test_a_rejected_scheme_is_rejected_on_every_build():
     # the step-size check still comes first
     with pytest.raises(ValueError, match="^step size must be positive and finite$"):
         build_step(bad, sys_, 0.0)
+
+
+def test_a_scheme_with_no_wave_stage_is_rejected_by_its_stage_counts():
+    # one a and no b would pass len(a) == len(b) + 1, and build_step would
+    # then fail on max() of the empty b
+    empty_b = dataclasses.replace(LIE, b=())
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^scheme 'lie' has unsupported stage counts$"):
+            build_step(empty_b, ModeSystem(n=2, gamma=0.5), 10.0)
+    report = validate_scheme(empty_b)
+    assert not report.passed and report.violations == ["empty coefficient list"]
